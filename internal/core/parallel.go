@@ -187,7 +187,8 @@ func Run(cfg Config, src workload.Source) *Metrics {
 	root.finalize()
 
 	st := pk.Stats()
-	root.m.Parallel = ParallelStats{
+	m := root.m // a copy: the result must not keep the domains alive
+	m.Parallel = ParallelStats{
 		Requested:      cfg.Parallel,
 		Partitions:     p,
 		WindowPS:       int64(window),
@@ -196,7 +197,7 @@ func Run(cfg Config, src workload.Source) *Metrics {
 		CrossWindows:   st.CrossWindows,
 		BarrierStallNS: st.BarrierStallNS,
 	}
-	return &root.m
+	return &m
 }
 
 // mergeDomain folds domain d's collected (but not finalized) metrics

@@ -42,7 +42,6 @@ type Engine interface {
 var (
 	_ Engine = (*snoop.Engine)(nil)
 	_ Engine = (*directory.Engine)(nil)
-	_ Engine = (*directory.SegEngine)(nil)
 	_ Engine = (*scilist.Engine)(nil)
 	_ Engine = (*bussnoop.Engine)(nil)
 	_ Engine = (*hier.Engine)(nil)
@@ -463,12 +462,11 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		if rc.Segments != 0 && cfg.Protocol != DirectoryRing {
 			panic(fmt.Sprintf("core: ring segments require the directory protocol, not %v", cfg.Protocol))
 		}
+		var nets []directory.Interconnect
 		if rc.Segments != 0 {
 			// The segmented interconnect: per-segment injection and
 			// boundary-link serialization, the model whose boundary hop
-			// is the parallel kernel's lookahead. The packet engine owns
-			// exactly the nodes its segments cover, so a partial [lo, hi)
-			// range needs no extra plumbing — segs defines it.
+			// is the parallel kernel's lookahead.
 			if cfg.Trace.Enabled() {
 				panic("core: tracing is unsupported with the segmented ring (Ring.Segments >= 2)")
 			}
@@ -477,23 +475,23 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 			}
 			s.segs = segs
 			s.segWarm = make([]int, len(segs))
-			s.engine = directory.NewSegmented(segs, directory.Options{Cache: cfg.Cache, Home: home})
-			break
+			for _, sr := range segs {
+				nets = append(nets, sr)
+			}
+		} else {
+			s.ring = ring.New(k, rc)
+			nets = []directory.Interconnect{s.ring}
 		}
-		r := ring.New(k, rc)
-		s.ring = r
+		r := s.ring
 		switch cfg.Protocol {
 		case SnoopRing:
 			s.engine = snoop.New(r, snoop.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer})
 		case DirectoryRing:
-			dopts := directory.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer}
-			if lo != 0 || hi != n {
-				// A partition domain: allocate caches/banks only for the
-				// owned nodes. Touching a foreign node then fails fast on
-				// a nil cache instead of corrupting a peer domain's twin.
-				dopts.NodeLo, dopts.NodeHi = lo, hi
-			}
-			s.engine = directory.New(r, dopts)
+			// A partition domain allocates caches and banks only for the
+			// nodes it owns. Touching a foreign node then fails fast on
+			// a nil cache instead of corrupting a peer domain's twin.
+			s.engine = directory.New(nets, directory.Options{
+				Cache: cfg.Cache, Home: home, Tracer: s.tracer, NodeLo: lo, NodeHi: hi})
 		case SCIRing:
 			s.engine = scilist.New(r, scilist.Options{Cache: cfg.Cache, Home: home})
 		}
@@ -625,13 +623,15 @@ func (s *System) Ring() *ring.Ring { return s.ring }
 func (s *System) Bus() *bus.Bus { return s.bus }
 
 // Run executes every processor's stream to completion and returns the
-// metrics.
+// metrics: a copy, so a caller that keeps the result does not keep the
+// simulated machine alive with it.
 func (s *System) Run() *Metrics {
 	s.start()
 	s.k.Run()
 	s.collect()
 	s.finalize()
-	return &s.m
+	m := s.m
+	return &m
 }
 
 // start schedules every processor's first issue event. The parallel

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/coherence"
@@ -232,5 +233,37 @@ func TestFasterProcessorsRaiseNetworkLoad(t *testing.T) {
 	fast := util(2 * sim.Nanosecond)
 	if fast <= slow {
 		t.Fatalf("ring utilization should grow with processor speed: slow=%v fast=%v", slow, fast)
+	}
+}
+
+// TestResultsDoNotRetainMachines holds many results and bounds the heap
+// each keeps: a returned Metrics must not keep its simulated machine
+// alive, from System.Run or from Run's partitioned branch.
+func TestResultsDoNotRetainMachines(t *testing.T) {
+	const held = 20
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, par := range []int{1, 2} {
+		before := heap()
+		kept := make([]*Metrics, held)
+		for i := range kept {
+			gen := workload.NewGenerator(workload.Config{
+				Profile: workload.MustProfile("MP3D", 8), DataRefsPerCPU: 300, Seed: uint64(i)})
+			cfg := Config{Protocol: DirectoryRing, Seed: 1, Parallel: par}
+			cfg.Ring.Segments = 2
+			kept[i] = Run(cfg, gen)
+			if kept[i].Parallel.Partitions != par {
+				t.Fatalf("ran %d partitions, want %d", kept[i].Parallel.Partitions, par)
+			}
+		}
+		per := (heap() - before) / held
+		runtime.KeepAlive(kept)
+		if per > 64<<10 {
+			t.Errorf("parallel %d: each held result keeps %d KB of heap, want under 64 KB", par, per>>10)
+		}
 	}
 }

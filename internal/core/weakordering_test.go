@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/coherence"
@@ -127,6 +128,45 @@ func TestWriteBufferDepthLimitsOutstanding(t *testing.T) {
 	}
 	if m.MissLatency.N() != 1 {
 		t.Fatalf("blocking misses = %d, want 1", m.MissLatency.N())
+	}
+}
+
+// TestNonBlockingStoresOnSharedData runs MP3D, whose processors share
+// data, with the write buffer on, once per protocol. Several requests
+// per node are then outstanding at once, some of them for a block
+// already in flight (a store that finds the buffer full blocks and
+// misses again). Every transaction must complete and be counted
+// exactly once, and the run must be reproducible.
+func TestNonBlockingStoresOnSharedData(t *testing.T) {
+	for _, proto := range []Protocol{SnoopRing, DirectoryRing} {
+		t.Run(proto.String(), func(t *testing.T) {
+			run := func() *Metrics {
+				gen := workload.NewGenerator(workload.Config{
+					Profile: workload.MustProfile("MP3D", 16), DataRefsPerCPU: 1500, Seed: 5})
+				return NewSystem(Config{
+					Protocol: proto, Seed: 3, NonBlockingStores: true, WriteBufferDepth: 2,
+				}, gen).Run()
+			}
+			m := run()
+			if m.BufferedStores == 0 {
+				t.Fatal("no store retired through the write buffer")
+			}
+			var txns uint64
+			for _, c := range m.TxnCount {
+				txns += c
+			}
+			if want := m.SharedMisses + m.PrivateMisses + m.Upgrades; txns != want {
+				t.Fatalf("transactions = %d, misses + upgrades = %d", txns, want)
+			}
+			if n := m.MissLatency.N() + m.InvLatency.N() + m.BufferedLatency.N(); n != txns {
+				t.Fatalf("latency samples = %d, transactions = %d", n, txns)
+			}
+			a, _ := json.Marshal(m.Snapshot())
+			b, _ := json.Marshal(run().Snapshot())
+			if string(a) != string(b) {
+				t.Fatal("two identical runs differ")
+			}
+		})
 	}
 }
 

@@ -85,6 +85,33 @@ func TestRingSendWithObserverZeroAlloc(t *testing.T) {
 	}
 }
 
+// nopClient discards payload callbacks.
+type nopClient struct{ n int }
+
+func (c *nopClient) Deliver(int, sim.Time, Payload) { c.n++ }
+func (c *nopClient) Visit(int, sim.Time, Payload)   { c.n++ }
+func (c *nopClient) Return(int, sim.Time, Payload)  { c.n++ }
+
+// The payload send the directory engine uses rides the same pooled
+// sweep records, with the payload carried by value: a point-to-point
+// message and a broadcast sweep must not allocate either.
+func TestRingPayloadSendZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	r := New(k, Config{Nodes: 8})
+	r.SetClient(&nopClient{})
+	send := func() {
+		r.SendPayload(2, 6, BlockSlot, Payload{Kind: 1, X: 2, A: 0x1000})
+		r.SendPayload(5, Broadcast, ProbeOdd, Payload{Kind: 2, X: 5, A: 0x1010})
+		k.Run()
+	}
+	for i := 0; i < 5000; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(300, send); allocs != 0 {
+		t.Fatalf("payload SendPayload allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func BenchmarkRingBroadcast(b *testing.B) {
 	k := sim.NewKernel()
 	r := New(k, Config{Nodes: 16})

@@ -11,6 +11,31 @@ import (
 // snooping protocol's probe transmission mode.
 const Broadcast = -1
 
+// Payload is the value-typed body of a protocol message sent with
+// SendPayload, on the classic ring and the segmented ring alike. A
+// message that crosses a shard boundary cannot carry a closure, so a
+// protocol engine encodes its messages into this fixed shape and
+// interprets them on arrival against its own state. The field meanings
+// belong to the client protocol; the ring only moves the value.
+type Payload struct {
+	Kind, Flags uint8
+	Tag         uint16
+	X           int32
+	A, B        uint64
+}
+
+// Client receives the callbacks of payload messages. Each fires as a
+// calendar event on the kernel of the ring (or segment) that owns the
+// node it names.
+type Client interface {
+	// Deliver fires when a point-to-point message is removed at dst.
+	Deliver(dst int, at sim.Time, p Payload)
+	// Visit fires as the message head passes node.
+	Visit(node int, at sim.Time, p Payload)
+	// Return fires when a broadcast arrives back at src and is removed.
+	Return(src int, at sim.Time, p Payload)
+}
+
 // slot is the dynamic state of one circulating slot.
 type slot struct {
 	// busyFrom marks the reservation instant: from this moment no other
@@ -46,8 +71,9 @@ type Ring struct {
 	// nil default costs Send a single branch.
 	OnMessage func(class SlotClass, grab, removal sim.Time)
 
-	k     *sim.Kernel
-	slots []slot
+	k      *sim.Kernel
+	client Client
+	slots  []slot
 	// byClass[c] lists the indices of class-c slots in ascending order,
 	// so a reservation scan touches only candidate slots (the batched
 	// advancement of quiescent spans: slots of other classes cost zero).
@@ -72,6 +98,12 @@ func New(k *sim.Kernel, cfg Config) *Ring {
 
 // Kernel returns the kernel the ring is attached to.
 func (r *Ring) Kernel() *sim.Kernel { return r.k }
+
+// Geometry returns the ring's geometry.
+func (r *Ring) Geometry() *Geometry { return &r.Geo }
+
+// SetClient registers the receiver of payload message callbacks.
+func (r *Ring) SetClient(c Client) { r.client = c }
 
 // ResetStats zeroes all message and utilization statistics; subsequent
 // figures cover only the window after the reset. In-flight slot
@@ -131,6 +163,26 @@ func (r *Ring) earliestGrab(i, src int, now sim.Time) sim.Time {
 // done (if non-nil) fires at the removal time. Send returns the grab
 // time (when the slot head physically passed src) and the removal time.
 func (r *Ring) Send(src, dst int, class SlotClass, visit func(node int, at sim.Time), done func(at sim.Time)) (grab, removal sim.Time) {
+	grab, removal = r.reserve(src, dst, class)
+	launchSweep(r.k, &r.pool, &r.Geo, src, dst, grab, removal, visit, done)
+	return grab, removal
+}
+
+// SendPayload transmits one payload message from src, reserving its
+// slot exactly as Send does, and reports it to the ring's Client: a
+// broadcast Visits every other node and Returns to src; a
+// point-to-point message schedules no visits and is Delivered at dst.
+// Its calendar positions are those of Send with a done callback, and
+// with a visit callback for broadcasts only. It returns the grab time.
+func (r *Ring) SendPayload(src, dst int, class SlotClass, p Payload) sim.Time {
+	grab, removal := r.reserve(src, dst, class)
+	launchPayload(r.k, &r.pool, &r.Geo, src, dst, grab, removal, r.client, p)
+	return grab
+}
+
+// reserve claims the earliest usable slot of the class for a message
+// from src to dst, accounts it, and returns its grab and removal times.
+func (r *Ring) reserve(src, dst int, class SlotClass) (grab, removal sim.Time) {
 	g := &r.Geo
 	if src < 0 || src >= g.Nodes {
 		panic(fmt.Sprintf("ring: bad source node %d", src))
@@ -176,8 +228,6 @@ func (r *Ring) Send(src, dst int, class SlotClass, visit func(node int, at sim.T
 	if r.OnMessage != nil {
 		r.OnMessage(class, grab, removal)
 	}
-
-	launchSweep(r.k, &r.pool, g, src, dst, grab, removal, visit, done)
 	return grab, removal
 }
 

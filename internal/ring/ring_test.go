@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +308,69 @@ func TestHeavyLoadUtilizationBounded(t *testing.T) {
 	}
 	if u < 0.5 {
 		t.Fatalf("saturating load only reached %v utilization", u)
+	}
+}
+
+// logClient records payload callbacks.
+type logClient struct{ log *[]string }
+
+func (c logClient) Deliver(dst int, at sim.Time, p Payload) {
+	*c.log = append(*c.log, fmt.Sprintf("done %d@%d", p.A, at))
+}
+func (c logClient) Visit(node int, at sim.Time, p Payload) {
+	*c.log = append(*c.log, fmt.Sprintf("visit %d n%d@%d", p.A, node, at))
+}
+func (c logClient) Return(src int, at sim.Time, p Payload) {
+	*c.log = append(*c.log, fmt.Sprintf("done %d@%d", p.A, at))
+}
+
+// TestSendPayloadMatchesSend pins SendPayload to Send's calendar: the
+// same traffic, sent once with closures (a visit callback for
+// broadcasts only) and once as payloads, must fire the same callbacks
+// at the same instants in the same order, and claim the same number of
+// kernel events — which is what keeps engines that moved from closures
+// to payloads byte-identical.
+func TestSendPayloadMatchesSend(t *testing.T) {
+	type msg struct {
+		at       sim.Time
+		src, dst int
+		class    SlotClass
+	}
+	var plan []msg
+	for i := 0; i < 60; i++ {
+		dst := (i*5 + 3) % 8
+		if i%4 == 0 || dst == i%8 {
+			dst = Broadcast
+		}
+		plan = append(plan, msg{sim.Time(i/3) * 7 * sim.Nanosecond, i % 8, dst, SlotClass(i % NumSlotClasses)})
+	}
+	run := func(payload bool) ([]string, uint64) {
+		var log []string
+		k := sim.NewKernel()
+		r := New(k, Config{Nodes: 8})
+		r.SetClient(logClient{&log})
+		for i, m := range plan {
+			i, m := i, m
+			k.At(m.at, func() {
+				if payload {
+					r.SendPayload(m.src, m.dst, m.class, Payload{A: uint64(i)})
+					return
+				}
+				var visit func(int, sim.Time)
+				if m.dst == Broadcast {
+					visit = func(node int, at sim.Time) { logClient{&log}.Visit(node, at, Payload{A: uint64(i)}) }
+				}
+				r.Send(m.src, m.dst, m.class, visit, func(at sim.Time) {
+					logClient{&log}.Deliver(m.dst, at, Payload{A: uint64(i)})
+				})
+			})
+		}
+		k.Run()
+		return log, k.Fired()
+	}
+	closures, nc := run(false)
+	payloads, np := run(true)
+	if !reflect.DeepEqual(closures, payloads) || nc != np {
+		t.Fatalf("payload sends diverge from closure sends (%d vs %d events)", np, nc)
 	}
 }

@@ -36,38 +36,11 @@ func boundarySeq(link int, fifo uint64) uint64 {
 	return sim.BoundarySeqBand | uint64(link)<<40 | fifo
 }
 
-// SegPayload is the value-typed body of a segmented-ring message.
-// Closures cannot cross shard boundaries, so protocol engines encode
-// their messages into this fixed shape and interpret it against their
-// own node-ranged state on delivery. The field meanings belong to the
-// client protocol; the ring only moves the value.
-type SegPayload struct {
-	Kind  uint8
-	Flags uint8
-	X, Y  int32
-	A, B  uint64
-}
-
-// SegClient receives a segment's message callbacks. Every callback
-// fires as a calendar event on the segment's own kernel, for nodes
-// inside the segment's range only.
-type SegClient interface {
-	// SegDeliver fires when a point-to-point message is removed at its
-	// destination.
-	SegDeliver(dst int, at sim.Time, p SegPayload)
-	// SegVisit fires as the message head passes node (broadcast
-	// observation, or a node strictly between source and destination).
-	SegVisit(node int, at sim.Time, p SegPayload)
-	// SegReturn fires when a broadcast arrives back at its source and
-	// is removed.
-	SegReturn(src int, at sim.Time, p SegPayload)
-}
-
 // SegRing is one segment of the segmented ring variant: the injection
 // points of its nodes, its exit boundary link, and its share of the
 // traffic statistics. Build one per segment with NewSegment, wire the
-// chain with Link and SetClient, then Send from the segment's own
-// nodes (on its own kernel).
+// chain with Link and SetClient, then SendPayload from the segment's
+// own nodes (on its own kernel).
 type SegRing struct {
 	Geo Geometry
 
@@ -76,7 +49,7 @@ type SegRing struct {
 	lo, hi int // node range [lo, hi)
 	hop    sim.Time
 
-	client SegClient
+	client Client
 	next   *SegRing
 	cross  func(at sim.Time, seq uint64, h sim.EventHandler)
 
@@ -142,10 +115,13 @@ func (sr *SegRing) Link(next *SegRing, cross func(at sim.Time, seq uint64, h sim
 }
 
 // SetClient registers the callback receiver for this segment's nodes.
-func (sr *SegRing) SetClient(c SegClient) { sr.client = c }
+func (sr *SegRing) SetClient(c Client) { sr.client = c }
 
 // Kernel returns the kernel this segment is attached to.
 func (sr *SegRing) Kernel() *sim.Kernel { return sr.k }
+
+// Geometry returns the whole ring's geometry.
+func (sr *SegRing) Geometry() *Geometry { return &sr.Geo }
 
 // Segment returns this segment's index.
 func (sr *SegRing) Segment() int { return sr.seg }
@@ -156,12 +132,12 @@ func (sr *SegRing) NodeRange() (lo, hi int) { return sr.lo, sr.hi }
 // Hop returns the exit boundary link's latency.
 func (sr *SegRing) Hop() sim.Time { return sr.hop }
 
-// Send injects one message at src (which must be one of this segment's
-// nodes, on this segment's kernel). dst is a node id or Broadcast.
-// Delivery, visits and broadcast return are reported through the
-// chain's SegClients. Send returns the departure time: when the
+// SendPayload injects one message at src (which must be one of this
+// segment's nodes, on this segment's kernel). dst is a node id or
+// Broadcast. Delivery, visits and broadcast return are reported
+// through the chain's Clients. It returns the departure time: when the
 // message head cleared src's injection point.
-func (sr *SegRing) Send(src, dst int, class SlotClass, p SegPayload) sim.Time {
+func (sr *SegRing) SendPayload(src, dst int, class SlotClass, p Payload) sim.Time {
 	g := &sr.Geo
 	if src < sr.lo || src >= sr.hi {
 		panic(fmt.Sprintf("ring: source node %d outside segment %d range [%d,%d)", src, sr.seg, sr.lo, sr.hi))
@@ -190,7 +166,7 @@ func (sr *SegRing) Send(src, dst int, class SlotClass, p SegPayload) sim.Time {
 // segment's first node). It schedules the segment's visit/terminal
 // events, and for a continuing message reserves the exit link and
 // hands off to the downstream segment at a banded calendar position.
-func (sr *SegRing) leg(t0 sim.Time, entryNode, origSrc, dst int, class SlotClass, p SegPayload, injected bool) {
+func (sr *SegRing) leg(t0 sim.Time, entryNode, origSrc, dst int, class SlotClass, p Payload, injected bool) {
 	g := &sr.Geo
 
 	// Terminal action inside this segment, if any.
@@ -263,7 +239,7 @@ type legEntry struct {
 	origSrc int
 	dst     int
 	class   SlotClass
-	p       SegPayload
+	p       Payload
 }
 
 func (le *legEntry) OnEvent(at sim.Time) {
@@ -277,7 +253,7 @@ func (le *legEntry) OnEvent(at sim.Time) {
 // the final callback so clients are free to Send again immediately.
 type segWalk struct {
 	sr        *SegRing
-	p         SegPayload
+	p         Payload
 	t0        sim.Time
 	entryNode int
 	node      int
@@ -320,18 +296,18 @@ func (w *segWalk) OnEvent(at sim.Time) {
 		} else {
 			p := w.p
 			w.release()
-			sr.client.SegVisit(node, at, p)
+			sr.client.Visit(node, at, p)
 			return
 		}
-		sr.client.SegVisit(node, at, w.p)
+		sr.client.Visit(node, at, w.p)
 		return
 	}
 	endNode, ret, p := w.endNode, w.ret, w.p
 	w.release()
 	if ret {
-		sr.client.SegReturn(endNode, at, p)
+		sr.client.Return(endNode, at, p)
 	} else {
-		sr.client.SegDeliver(endNode, at, p)
+		sr.client.Deliver(endNode, at, p)
 	}
 }
 

@@ -14,7 +14,7 @@ type segLog struct {
 	entries []string
 }
 
-func (l *segLog) add(tag string, node int, at sim.Time, p SegPayload) {
+func (l *segLog) add(tag string, node int, at sim.Time, p Payload) {
 	l.entries = append(l.entries, fmt.Sprintf("%s n%d @%d a%d b%d", tag, node, at, p.A, p.B))
 }
 
@@ -27,16 +27,16 @@ type chatClient struct {
 	log *segLog
 }
 
-func (c *chatClient) SegDeliver(dst int, at sim.Time, p SegPayload) {
+func (c *chatClient) Deliver(dst int, at sim.Time, p Payload) {
 	c.log.add("deliver", dst, at, p)
 	if p.B > 0 {
-		c.sr.Send(dst, int(p.X), SlotClass(p.Kind), SegPayload{
+		c.sr.SendPayload(dst, int(p.X), SlotClass(p.Kind), Payload{
 			Kind: p.Kind, X: int32(dst), A: p.A + 1000, B: p.B - 1,
 		})
 	}
 }
-func (c *chatClient) SegVisit(node int, at sim.Time, p SegPayload) { c.log.add("visit", node, at, p) }
-func (c *chatClient) SegReturn(src int, at sim.Time, p SegPayload) { c.log.add("return", src, at, p) }
+func (c *chatClient) Visit(node int, at sim.Time, p Payload) { c.log.add("visit", node, at, p) }
+func (c *chatClient) Return(src int, at sim.Time, p Payload) { c.log.add("return", src, at, p) }
 
 // sendPlan schedules one Send at a fixed time on the segment owning
 // the source node.
@@ -45,10 +45,10 @@ type sendPlan struct {
 	src   int
 	dst   int
 	class SlotClass
-	p     SegPayload
+	p     Payload
 }
 
-func (s *sendPlan) OnEvent(at sim.Time) { s.sr.Send(s.src, s.dst, s.class, s.p) }
+func (s *sendPlan) OnEvent(at sim.Time) { s.sr.SendPayload(s.src, s.dst, s.class, s.p) }
 
 // planTraffic derives a deterministic mixed workload: point-to-point
 // probes and blocks, broadcasts, and reply chains, from every node.
@@ -57,14 +57,14 @@ func planTraffic(rng *rand.Rand, nodes int) []struct {
 	src   int
 	dst   int
 	class SlotClass
-	p     SegPayload
+	p     Payload
 } {
 	var plan []struct {
 		at    sim.Time
 		src   int
 		dst   int
 		class SlotClass
-		p     SegPayload
+		p     Payload
 	}
 	id := uint64(0)
 	for i := 0; i < 4*nodes; i++ {
@@ -83,13 +83,13 @@ func planTraffic(rng *rand.Rand, nodes int) []struct {
 			src   int
 			dst   int
 			class SlotClass
-			p     SegPayload
+			p     Payload
 		}{
 			at:    sim.Time(rng.Intn(300)) * sim.Nanosecond,
 			src:   src,
 			dst:   dst,
 			class: class,
-			p:     SegPayload{Kind: uint8(class), X: int32(src), A: id, B: replies},
+			p:     Payload{Kind: uint8(class), X: int32(src), A: id, B: replies},
 		})
 		id++
 	}
@@ -218,7 +218,7 @@ func TestSegRingUncontendedSchedule(t *testing.T) {
 		sr.SetClient(&chatClient{sr: sr, log: logs[s]})
 	}
 	// Node 1 -> node 6: crosses three boundaries, visits 2,3,4,5.
-	segs[0].Send(1, 6, ProbeEven, SegPayload{A: 7})
+	segs[0].SendPayload(1, 6, ProbeEven, Payload{A: 7})
 	k.Run()
 	var got []string
 	for _, l := range logs {
@@ -244,7 +244,7 @@ func TestSegRingUncontendedSchedule(t *testing.T) {
 		logs2[s] = &segLog{}
 		sr.SetClient(&chatClient{sr: sr, log: logs2[s]})
 	}
-	segs2[1].Send(3, Broadcast, BlockSlot, SegPayload{A: 9})
+	segs2[1].SendPayload(3, Broadcast, BlockSlot, Payload{A: 9})
 	k2.Run()
 	seen := 0
 	for _, l := range logs2 {
@@ -269,9 +269,9 @@ func TestSegRingInjectionSerializes(t *testing.T) {
 	for _, sr := range segs {
 		sr.SetClient(&chatClient{sr: sr, log: &segLog{}})
 	}
-	d1 := segs[0].Send(0, 2, ProbeEven, SegPayload{})
-	d2 := segs[0].Send(0, 2, ProbeEven, SegPayload{})
-	d3 := segs[0].Send(0, 2, ProbeOdd, SegPayload{})
+	d1 := segs[0].SendPayload(0, 2, ProbeEven, Payload{})
+	d2 := segs[0].SendPayload(0, 2, ProbeEven, Payload{})
+	d3 := segs[0].SendPayload(0, 2, ProbeOdd, Payload{})
 	slot := segs[0].Geo.SlotTime(ProbeEven)
 	if d1 != 0 || d2 != slot {
 		t.Fatalf("same-class departures %d, %d; want 0, %d", d1, d2, slot)

@@ -44,11 +44,19 @@ func (p *msgPool) get() *sweepMsg {
 // visit hops and removal instant. It implements sim.EventHandler and
 // re-arms itself for the next hop from inside each dispatch.
 type sweepMsg struct {
-	k       *sim.Kernel
-	pool    *msgPool
-	clock   sim.Time
-	visit   func(node int, at sim.Time)
-	done    func(at sim.Time)
+	k     *sim.Kernel
+	pool  *msgPool
+	clock sim.Time
+	visit func(node int, at sim.Time)
+	done  func(at sim.Time)
+	// client, when non-nil, receives a payload message's callbacks in
+	// place of visit/done: Deliver at end, or Return at end (the
+	// source) when ret is set.
+	client  Client
+	p       Payload
+	end     int
+	ret     bool
+	term    bool // a terminal event follows the visits
 	grab    sim.Time
 	removal sim.Time
 	baseSeq uint64
@@ -61,7 +69,7 @@ type sweepMsg struct {
 // pool does not pin caller state between messages; the hops slice keeps
 // its capacity.
 func (m *sweepMsg) release() {
-	m.visit, m.done = nil, nil
+	m.visit, m.done, m.client = nil, nil, nil
 	m.hops = m.hops[:0]
 	m.idx = 0
 	m.next = m.pool.free
@@ -79,11 +87,30 @@ func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, rem
 		return
 	}
 	m := p.get()
+	m.visit, m.done = visit, done
+	m.launch(k, g, src, dst, grab, removal, visit != nil, done != nil)
+}
+
+// launchPayload schedules a payload message's callbacks on c: visits
+// for a broadcast only, then Deliver at dst or Return at src. Its
+// calendar positions are those of launchSweep with a visit callback
+// for broadcasts, without one otherwise, and always with done.
+func launchPayload(k *sim.Kernel, pool *msgPool, g *Geometry, src, dst int, grab, removal sim.Time, c Client, p Payload) {
+	m := pool.get()
+	m.client, m.p, m.end, m.ret = c, p, dst, dst == Broadcast
+	if m.ret {
+		m.end = src
+	}
+	m.launch(k, g, src, dst, grab, removal, dst == Broadcast, true)
+}
+
+// launch precomputes m's hops and claims its calendar positions.
+func (m *sweepMsg) launch(k *sim.Kernel, g *Geometry, src, dst int, grab, removal sim.Time, visits, term bool) {
 	m.k = k
 	m.clock = g.ClockPS
-	m.visit, m.done = visit, done
+	m.term = term
 	m.grab, m.removal = grab, removal
-	if visit != nil {
+	if visits {
 		last := g.Nodes // broadcast: everyone but src
 		if dst != Broadcast {
 			last = g.DistStages(src, dst) // only nodes strictly before dst
@@ -98,7 +125,7 @@ func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, rem
 		}
 	}
 	n := len(m.hops)
-	if done != nil {
+	if term {
 		n++
 	}
 	if n == 0 {
@@ -119,24 +146,33 @@ func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, rem
 // callbacks are free to Send again (and reuse this very record) without
 // corrupting the sweep.
 func (m *sweepMsg) OnEvent(at sim.Time) {
+	visit, c, p := m.visit, m.client, m.p
 	if m.idx < len(m.hops) {
-		h := m.hops[m.idx]
+		node := int(m.hops[m.idx].node)
 		m.idx++
-		visit := m.visit
 		if m.idx < len(m.hops) {
 			nh := m.hops[m.idx]
 			m.k.AtReserved(m.grab+sim.Time(nh.d)*m.clock, m.baseSeq+uint64(m.idx), m)
-		} else if m.done != nil {
+		} else if m.term {
 			m.k.AtReserved(m.removal, m.baseSeq+uint64(len(m.hops)), m)
 		} else {
 			m.release()
-			visit(int(h.node), at)
-			return
 		}
-		visit(int(h.node), at)
+		if c != nil {
+			c.Visit(node, at, p)
+		} else {
+			visit(node, at)
+		}
 		return
 	}
-	done, removal := m.done, m.removal
+	done, removal, end, ret := m.done, m.removal, m.end, m.ret
 	m.release()
-	done(removal)
+	switch {
+	case c == nil:
+		done(removal)
+	case ret:
+		c.Return(end, removal, p)
+	default:
+		c.Deliver(end, removal, p)
+	}
 }
