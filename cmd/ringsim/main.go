@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceIn  = fs.String("trace", "", "replay a recorded trace file (from tracegen) instead of a synthetic workload")
 		traceOut = fs.String("trace-out", "", "write a Perfetto/Chrome trace of coherence transactions to this file (load at ui.perfetto.dev)")
 		traceSmp = fs.Int("trace-sample", 0, "record every k-th transaction as a full span (0 = 64 when -trace-out is set)")
-		parallel = fs.Int("parallel", 1, "partition the simulation across this many event-kernel shards (1 = sequential; uncovered configs fall back loudly)")
+		parallel = fs.Int("parallel", 1, "partition a segmented directory-ring simulation (-segments >= 2) across this many event-kernel shards, each owning whole segments (1 = sequential; any other config falls back loudly)")
 		segments = fs.Int("segments", 0, "partition the ring interconnect into this many segments (0 = classic global-slot ring; >= 2 selects the segmented model, directory-ring only)")
 		version  = fs.Bool("version", false, "print build version and exit")
 		logLevel = fs.String("loglevel", "info", "structured JSON log level on stderr: debug | info | warn | error")
@@ -130,10 +130,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "  parallel execution    : %d partitions, %d windows, barrier stall %.2f ms total\n",
 				res.Partitions, res.ParallelWindows, float64(stall)/1e6)
-			if res.ParallelWindowPS > 0 {
-				fmt.Fprintf(stdout, "  sharded interconnect  : %d ps lookahead window, %d cross-shard events over %d carrying windows\n",
-					res.ParallelWindowPS, res.ParallelCrossEvents, res.ParallelCrossWindows)
-			}
+			fmt.Fprintf(stdout, "  sharded interconnect  : %d ps lookahead window, %d cross-shard events over %d carrying windows\n",
+				res.ParallelWindowPS, res.ParallelCrossEvents, res.ParallelCrossWindows)
 		}
 	}
 

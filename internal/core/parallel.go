@@ -2,34 +2,29 @@
 // sim.ParKernel.
 //
 // The partitioner splits the machine's node range into P contiguous
-// domains, each a full System (its own ring geometry, home map,
-// node-ranged directory engine, calendar queue and event slab) running
-// on one shard of a conservative-window parallel kernel. That is only
-// correct when the domains provably never interact, so parallelism is
-// honored for exactly the covered class:
+// domains, each a full System (its own home map, node-ranged directory
+// engine, calendar queue and event slab) running on one shard of a
+// conservative-window parallel kernel. Parallelism is honored for
+// exactly one covered class, the segmented directory ring:
 //
-//   - DirectoryRing protocol: the only engine whose node-local path
-//     (requester == home) touches no globally arbitrated interconnect
-//     state. The slotted-ring, bus and hierarchical engines arbitrate
-//     every transaction through central slot/tenure state with zero
-//     lookahead, so they cannot be partitioned without rewriting their
-//     arbitration — they fall back.
-//   - A private-only workload (Source implementing PrivateOnly with
-//     PrivateFrac == 1): every reference lands in the issuing CPU's own
-//     address regions, whose pages the home hint places on the issuing
-//     node, so every miss takes the node-local directory path and no
-//     cross-domain event ever exists.
+//   - DirectoryRing protocol over a segmented ring (Ring.Segments >=
+//     2). Each domain owns whole ring segments; a message crossing a
+//     boundary link between two shards becomes a cross-shard event at
+//     a banded calendar position, and the boundary link's hop latency
+//     is the lookahead that sizes the barrier windows. The slotted-ring,
+//     bus and hierarchical engines arbitrate every transaction through
+//     central slot/tenure state with zero lookahead, and the classic
+//     global-slot ring has no boundary links, so they fall back.
 //   - No tracing and no non-blocking stores: the tracer samples on a
 //     global span counter, which is interleaving-dependent.
 //
 // Everything else runs on the sequential kernel with the reason
 // recorded in Metrics.Parallel.Fallback — a loud fallback, never a
-// silent divergence. For the covered class the per-domain runs are
-// reference-for-reference identical to the sequential run's per-node
-// timelines, and the merge below folds per-domain aggregates with
-// integer-exact, order-free arithmetic, so the result artifact is
-// byte-identical to the sequential one (the cross-check tests enforce
-// this).
+// silent divergence. For the covered class a partitioned run fires the
+// sequential run's events at the same (time, seq) calendar positions,
+// and the merge below folds per-domain aggregates with integer-exact,
+// order-free arithmetic, so the result artifact is byte-identical to
+// the sequential one (the cross-check tests enforce this).
 package core
 
 import (
@@ -39,18 +34,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// domainWindow is the barrier-window width for partitioned runs of the
-// unsegmented covered class. That class has no cross-domain coupling at
-// all (infinite lookahead), so any width is conservative; 100 µs keeps
-// the window counter meaningful for progress accounting while making
-// barrier overhead negligible against multi-millisecond simulated runs.
-//
-// Segmented-interconnect runs instead derive their window from the
-// model: the minimum boundary-link hop latency (Geometry.MinSegmentHop)
-// is exactly how far one segment can affect the next, so it is the
-// widest window that can never miss a cross-shard message.
-const domainWindow = 100 * sim.Microsecond
 
 // planPartitions decides how many partitions cfg/src actually get, the
 // barrier-window width to run them under and, when the answer is 1
@@ -69,45 +52,41 @@ func planPartitions(cfg Config, src workload.Source) (p int, window sim.Time, fa
 	if cfg.NonBlockingStores {
 		return 1, 0, "non-blocking stores are outside the covered class"
 	}
+	S := cfg.Ring.Segments
+	if S < 2 {
+		return 1, 0, "the classic ring has no segments; partitions need the boundary-link lookahead of a segmented ring (2 or more segments)"
+	}
+	// Domains must own whole segments (a segment's injection and link
+	// state is single-shard), so the partition count is the largest
+	// divisor of S within the request. S divides the node count, so no
+	// domain is ever empty.
+	p = req
+	if p > S {
+		p = S
+	}
+	for ; p >= 2; p-- {
+		if S%p == 0 {
+			break
+		}
+	}
+	if p < 2 {
+		return 1, 0, fmt.Sprintf("no divisor of %d ring segments within requested parallelism %d", S, req)
+	}
+	// The minimum boundary-link hop latency is exactly how far one
+	// segment can affect the next, so it is the widest window that can
+	// never miss a cross-shard message.
 	n := src.NumCPUs()
-	if req > n {
-		req = n
+	rc := cfg.Ring
+	rc.Nodes = n
+	g := ring.NewGeometry(rc)
+	w := g.MinSegmentHop()
+	if w <= 0 {
+		// The covered class is defined by positive boundary-link
+		// lookahead; a geometry without it is a model bug, not a
+		// fallback case.
+		panic(fmt.Sprintf("core: segmented ring (%d nodes, %d segments) has zero boundary-link lookahead", n, S))
 	}
-	if S := cfg.Ring.Segments; S >= 2 {
-		// Segmented interconnect: boundary-crossing traffic is carried as
-		// cross-shard events, so any workload is covered — but domains
-		// must own whole segments (a segment's injection and link state
-		// is single-shard), so the partition count is the largest divisor
-		// of S within the request.
-		p = req
-		if p > S {
-			p = S
-		}
-		for ; p >= 2; p-- {
-			if S%p == 0 {
-				break
-			}
-		}
-		if p < 2 {
-			return 1, 0, fmt.Sprintf("no divisor of %d ring segments within requested parallelism %d", S, req)
-		}
-		rc := cfg.Ring
-		rc.Nodes = n
-		g := ring.NewGeometry(rc)
-		w := g.MinSegmentHop()
-		if w <= 0 {
-			// The covered class is defined by positive boundary-link
-			// lookahead; a geometry without it is a model bug, not a
-			// fallback case.
-			panic(fmt.Sprintf("core: segmented ring (%d nodes, %d segments) has zero boundary-link lookahead", n, S))
-		}
-		return p, w, ""
-	}
-	po, ok := src.(interface{ PrivateOnly() bool })
-	if !ok || !po.PrivateOnly() {
-		return 1, 0, "workload shares data across partitions"
-	}
-	return req, domainWindow, ""
+	return p, w, ""
 }
 
 // Run executes src under cfg, honoring cfg.Parallel for covered
@@ -127,47 +106,35 @@ func Run(cfg Config, src workload.Source) *Metrics {
 	n := src.NumCPUs()
 	pk := sim.NewParKernel(p, window)
 
-	// Segmented interconnect: build every ring segment on its owning
-	// shard, then close the chain — same-shard boundaries hand off
-	// through the shard's own banded calendar, cross-shard ones through
-	// the parallel kernel's lookahead-checked post. The sequential
-	// segmented run makes the identical AtBoundary calls on one kernel,
-	// which is what the byte-identity cross-checks lean on.
-	var domSegs [][]*ring.SegRing
-	if S := cfg.Ring.Segments; S >= 2 {
-		rc := cfg.Ring
-		rc.Nodes = n
-		segs := make([]*ring.SegRing, S)
-		shardOf := func(seg int) int { return seg * p / S }
-		for si := 0; si < S; si++ {
-			segs[si] = ring.NewSegment(pk.Shard(shardOf(si)), rc, si)
-		}
-		for si := 0; si < S; si++ {
-			from, to := shardOf(si), shardOf((si+1)%S)
-			next := segs[(si+1)%S]
-			if from == to {
-				segs[si].Link(next, pk.Shard(from).AtBoundary)
-			} else {
-				from, to := from, to
-				segs[si].Link(next, func(at sim.Time, seq uint64, h sim.EventHandler) {
-					pk.PostAt(from, to, at, seq, h)
-				})
-			}
-		}
-		domSegs = make([][]*ring.SegRing, p)
-		for i := 0; i < p; i++ {
-			domSegs[i] = segs[i*S/p : (i+1)*S/p]
+	// Build every ring segment on its owning shard, then close the
+	// chain — same-shard boundaries hand off through the shard's own
+	// banded calendar, cross-shard ones through the parallel kernel's
+	// lookahead-checked post. The sequential segmented run makes the
+	// identical AtBoundary calls on one kernel, which is what the
+	// byte-identity cross-checks lean on.
+	S := cfg.Ring.Segments
+	rc := cfg.Ring
+	rc.Nodes = n
+	segs := make([]*ring.SegRing, S)
+	shardOf := func(seg int) int { return seg * p / S }
+	for si := 0; si < S; si++ {
+		segs[si] = ring.NewSegment(pk.Shard(shardOf(si)), rc, si)
+	}
+	for si := 0; si < S; si++ {
+		from, to := shardOf(si), shardOf((si+1)%S)
+		next := segs[(si+1)%S]
+		if from == to {
+			segs[si].Link(next, pk.Shard(from).AtBoundary)
+		} else {
+			segs[si].Link(next, func(at sim.Time, seq uint64, h sim.EventHandler) {
+				pk.PostAt(from, to, at, seq, h)
+			})
 		}
 	}
 
 	doms := make([]*System, p)
 	for i := 0; i < p; i++ {
-		lo, hi := i*n/p, (i+1)*n/p
-		var sg []*ring.SegRing
-		if domSegs != nil {
-			sg = domSegs[i]
-		}
-		doms[i] = newSystemOn(pk.Shard(i), cfg, src, lo, hi, sg)
+		doms[i] = newSystemOn(pk.Shard(i), cfg, src, i*n/p, (i+1)*n/p, segs[i*S/p:(i+1)*S/p])
 	}
 	for _, d := range doms {
 		d.start()
@@ -243,14 +210,6 @@ func (s *System) mergeDomain(d *System) {
 	// finalize turns the whole-machine totals into NetworkUtil.
 	s.segTransitPS += d.segTransitPS
 	s.segWarmPS += d.segWarmPS
-
-	// Domains report their own (idle, for the covered class) rings; the
-	// sequential run's figure for a traffic-free ring is exactly 0, so
-	// max keeps the identical value while staying honest if a future
-	// covered class ever carries traffic.
-	if dm.NetworkUtil > sm.NetworkUtil {
-		sm.NetworkUtil = dm.NetworkUtil
-	}
 
 	// Simulator-side counters (snapshot-excluded): total work and the
 	// widest per-partition slab.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// privateGen builds the PRIVATE workload the parallel covered class
-// requires.
+// privateGen builds the PRIVATE workload: all-private references, so
+// every miss stays at its home node.
 func privateGen(cpus, refs int, seed uint64) *workload.Generator {
 	prof, ok := workload.ProfileFor("PRIVATE", cpus)
 	if !ok {
@@ -33,49 +34,43 @@ func snapJSON(t *testing.T, m *Metrics) string {
 	return string(b)
 }
 
-// TestParallelByteIdenticalToSequential is the headline correctness
-// guarantee: for covered configurations, a partitioned run's result
-// artifact is byte-for-byte the sequential kernel's, across seeds,
-// partition counts, and warmup gating.
+// TestParallelByteIdenticalToSequential is the zero-coupling half of
+// the identity guarantee: a PRIVATE workload over the segmented ring,
+// whose misses all stay at their home node, gives byte-for-byte the
+// sequential artifact at every segment-aligned partition count, across
+// seeds and warmup gating, and posts no cross-shard event.
 func TestParallelByteIdenticalToSequential(t *testing.T) {
 	for _, cpus := range []int{8, 16} {
 		for _, seed := range []uint64{1, 7, 1993} {
 			cfg := Config{Protocol: DirectoryRing, Seed: seed, WarmupDataRefs: 150}
-			gen := privateGen(cpus, 600, seed)
-			seq := Run(cfg, gen)
+			cfg.Ring.Segments = 8
+			seq := Run(cfg, privateGen(cpus, 600, seed))
 			if seq.Parallel.Partitions != 1 || seq.Parallel.Fallback != "" {
 				t.Fatalf("sequential run reported %+v", seq.Parallel)
 			}
-			if seq.DataRefs == 0 || seq.PrivateMisses == 0 {
-				t.Fatalf("degenerate sequential run: %+v", seq)
+			if seq.DataRefs == 0 || seq.PrivateMisses == 0 || seq.SharedMisses != 0 {
+				t.Fatalf("degenerate PRIVATE run: %+v", seq)
 			}
 			want := snapJSON(t, seq)
-			for _, p := range []int{2, 3, 4, 8} {
-				if p > cpus {
-					continue
-				}
+			for _, p := range []int{2, 4, 8} {
+				name := fmt.Sprintf("PRIVATE/%d segs=8 P=%d seed=%d", cpus, p, seed)
 				pcfg := cfg
 				pcfg.Parallel = p
 				got := Run(pcfg, privateGen(cpus, 600, seed))
-				if got.Parallel.Fallback != "" {
-					t.Fatalf("cpus=%d seed=%d P=%d: unexpected fallback %q",
-						cpus, seed, p, got.Parallel.Fallback)
-				}
-				if got.Parallel.Partitions != p {
-					t.Fatalf("cpus=%d seed=%d: partitions = %d, want %d",
-						cpus, seed, got.Parallel.Partitions, p)
+				if got.Parallel.Fallback != "" || got.Parallel.Partitions != p {
+					t.Fatalf("%s: got %+v", name, got.Parallel)
 				}
 				if g := snapJSON(t, got); g != want {
-					t.Errorf("cpus=%d seed=%d P=%d: parallel result diverged from sequential\nseq: %s\npar: %s",
-						cpus, seed, p, want, g)
+					t.Errorf("%s: parallel result diverged from sequential\nseq: %s\npar: %s", name, want, g)
+				}
+				if got.EventsFired != seq.EventsFired {
+					t.Errorf("%s: events fired %d (par) != %d (seq)", name, got.EventsFired, seq.EventsFired)
 				}
 				if got.Parallel.Windows == 0 || len(got.Parallel.BarrierStallNS) != p {
-					t.Errorf("cpus=%d seed=%d P=%d: missing sync stats %+v",
-						cpus, seed, p, got.Parallel)
+					t.Errorf("%s: missing sync stats %+v", name, got.Parallel)
 				}
 				if got.Parallel.CrossEvents != 0 {
-					t.Errorf("covered class posted %d cross events; domains must be independent",
-						got.Parallel.CrossEvents)
+					t.Errorf("%s: PRIVATE run posted %d cross-shard events, want 0", name, got.Parallel.CrossEvents)
 				}
 			}
 		}
@@ -91,24 +86,27 @@ func TestParallelFallsBackLoudly(t *testing.T) {
 			Profile: workload.MustProfile("MP3D", 16), DataRefsPerCPU: 400, Seed: seed})
 	}
 	cases := []struct {
-		name string
-		cfg  Config
-		gen  func() workload.Source
+		name   string
+		cfg    Config
+		gen    func() workload.Source
+		reason string // a substring the fallback reason must contain
 	}{
 		{"snoop-ring", Config{Protocol: SnoopRing, Seed: 3, WarmupDataRefs: 100},
-			func() workload.Source { return mp3d(3) }},
+			func() workload.Source { return mp3d(3) }, "centrally arbitrated"},
 		{"sci-ring", Config{Protocol: SCIRing, Seed: 3, WarmupDataRefs: 100},
-			func() workload.Source { return mp3d(3) }},
+			func() workload.Source { return mp3d(3) }, "centrally arbitrated"},
 		{"snoop-bus", Config{Protocol: SnoopBus, Seed: 3, WarmupDataRefs: 100},
-			func() workload.Source { return mp3d(3) }},
+			func() workload.Source { return mp3d(3) }, "centrally arbitrated"},
 		{"hier-ring", Config{Protocol: HierRing, Clusters: 4, Seed: 3, WarmupDataRefs: 100},
-			func() workload.Source { return mp3d(3) }},
+			func() workload.Source { return mp3d(3) }, "centrally arbitrated"},
 		{"shared-workload", Config{Protocol: DirectoryRing, Seed: 3, WarmupDataRefs: 100},
-			func() workload.Source { return mp3d(3) }},
+			func() workload.Source { return mp3d(3) }, "segments"},
+		{"classic-ring-private", Config{Protocol: DirectoryRing, Seed: 3, WarmupDataRefs: 100},
+			func() workload.Source { return privateGen(16, 400, 3) }, "segments"},
 		{"traced", Config{Protocol: DirectoryRing, Seed: 3, Trace: obs.Config{SampleEvery: 8}},
-			func() workload.Source { return privateGen(16, 400, 3) }},
+			func() workload.Source { return privateGen(16, 400, 3) }, "tracing"},
 		{"non-blocking-stores", Config{Protocol: DirectoryRing, Seed: 3, NonBlockingStores: true},
-			func() workload.Source { return privateGen(16, 400, 3) }},
+			func() workload.Source { return privateGen(16, 400, 3) }, "non-blocking stores"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,8 +120,9 @@ func TestParallelFallsBackLoudly(t *testing.T) {
 			if got.Parallel.Partitions != 1 {
 				t.Fatalf("uncovered config ran with %d partitions", got.Parallel.Partitions)
 			}
-			if got.Parallel.Fallback == "" {
-				t.Fatal("fallback reason missing: uncovered configs must report why")
+			if !strings.Contains(got.Parallel.Fallback, tc.reason) {
+				t.Fatalf("fallback reason %q does not name %q: uncovered configs must report why",
+					got.Parallel.Fallback, tc.reason)
 			}
 			if got.Parallel.Requested != 4 {
 				t.Fatalf("Requested = %d, want 4", got.Parallel.Requested)
@@ -142,19 +141,26 @@ func sharedGen(cpus, refs int, seed uint64) *workload.Generator {
 		Profile: workload.MustProfile("MP3D", cpus), DataRefsPerCPU: refs, Seed: seed})
 }
 
-// TestSegmentedParallelByteIdentical is the sharded-interconnect
-// headline guarantee: a SHARED-workload directory run over the
-// segmented ring, partitioned across shards with real cross-shard
-// coherence traffic, produces byte-for-byte the sequential artifact —
-// with the same kernel event count — across randomized shapes, seeds
-// and every segment-aligned partition count.
+// TestSegmentedParallelByteIdentical is the headline correctness
+// guarantee: a SHARED-workload directory run over the segmented ring,
+// partitioned across shards with real cross-shard coherence traffic,
+// produces byte-for-byte the sequential artifact — with the same
+// kernel event count — across shapes, seeds and every segment-aligned
+// partition count.
 func TestSegmentedParallelByteIdentical(t *testing.T) {
-	shapes := []struct{ cpus, segs int }{{8, 2}, {8, 4}, {16, 4}, {16, 8}}
+	shapes := []struct {
+		bench            string
+		cpus, segs, refs int
+	}{
+		{"MP3D", 8, 2, 500}, {"MP3D", 8, 4, 500}, {"MP3D", 16, 4, 500}, {"MP3D", 16, 8, 500},
+		{"MP3D", 32, 8, 300},
+	}
 	for i, sh := range shapes {
 		seed := uint64(7*i + 3)
+		gen := func() *workload.Generator { return sharedGen(sh.cpus, sh.refs, seed) }
 		cfg := Config{Protocol: DirectoryRing, Seed: seed, WarmupDataRefs: 100}
 		cfg.Ring.Segments = sh.segs
-		seq := Run(cfg, sharedGen(sh.cpus, 500, seed))
+		seq := Run(cfg, gen())
 		if seq.Parallel.Partitions != 1 || seq.Parallel.Fallback != "" {
 			t.Fatalf("sequential segmented run reported %+v", seq.Parallel)
 		}
@@ -166,29 +172,29 @@ func TestSegmentedParallelByteIdentical(t *testing.T) {
 			if sh.segs%p != 0 {
 				continue
 			}
+			name := fmt.Sprintf("%s/%d segs=%d P=%d seed=%d", sh.bench, sh.cpus, sh.segs, p, seed)
 			pcfg := cfg
 			pcfg.Parallel = p
-			got := Run(pcfg, sharedGen(sh.cpus, 500, seed))
+			got := Run(pcfg, gen())
 			if got.Parallel.Fallback != "" || got.Parallel.Partitions != p {
-				t.Fatalf("cpus=%d segs=%d P=%d: got %+v", sh.cpus, sh.segs, p, got.Parallel)
+				t.Fatalf("%s: got %+v", name, got.Parallel)
 			}
 			if g := snapJSON(t, got); g != want {
-				t.Errorf("cpus=%d segs=%d P=%d seed=%d: segmented parallel diverged\nseq: %s\npar: %s",
-					sh.cpus, sh.segs, p, seed, want, g)
+				t.Errorf("%s: segmented parallel diverged\nseq: %s\npar: %s", name, want, g)
 			}
 			if got.EventsFired != seq.EventsFired {
-				t.Errorf("cpus=%d segs=%d P=%d: events fired %d (par) != %d (seq)",
-					sh.cpus, sh.segs, p, got.EventsFired, seq.EventsFired)
+				t.Errorf("%s: events fired %d (par) != %d (seq)", name, got.EventsFired, seq.EventsFired)
+			}
+			if got.Parallel.Windows == 0 || len(got.Parallel.BarrierStallNS) != p {
+				t.Errorf("%s: missing sync stats %+v", name, got.Parallel)
+			}
+			if got.Parallel.WindowPS <= 0 {
+				t.Errorf("%s: window %d ps, want boundary-hop lookahead > 0", name, got.Parallel.WindowPS)
 			}
 			// A SHARED workload must actually exercise the boundary
 			// links: remote-home requests become cross-shard posts.
 			if got.Parallel.CrossEvents == 0 || got.Parallel.CrossWindows == 0 {
-				t.Errorf("cpus=%d segs=%d P=%d: no cross-shard traffic (%+v)",
-					sh.cpus, sh.segs, p, got.Parallel)
-			}
-			if got.Parallel.WindowPS <= 0 {
-				t.Errorf("cpus=%d segs=%d P=%d: window %d ps, want boundary-hop lookahead > 0",
-					sh.cpus, sh.segs, p, got.Parallel.WindowPS)
+				t.Errorf("%s: no cross-shard traffic (%+v)", name, got.Parallel)
 			}
 		}
 	}
@@ -270,11 +276,13 @@ func TestSegmentedPartitionPlanning(t *testing.T) {
 	}
 }
 
-// TestParallelClampsToCPUs: requesting more partitions than processors
-// clamps rather than building empty domains.
+// TestParallelClampsToCPUs: requesting more partitions than
+// processors clamps rather than building empty domains — here to one
+// partition per segment, with one processor each.
 func TestParallelClampsToCPUs(t *testing.T) {
 	cfg := Config{Protocol: DirectoryRing, Seed: 2, Parallel: 64}
-	m := Run(cfg, privateGen(8, 300, 2))
+	cfg.Ring.Segments = 8
+	m := Run(cfg, sharedGen(8, 300, 2))
 	if m.Parallel.Partitions != 8 {
 		t.Fatalf("partitions = %d, want clamp to 8 CPUs", m.Parallel.Partitions)
 	}

@@ -134,10 +134,11 @@ type Config struct {
 	Trace obs.Config
 	// Parallel requests a partitioned parallel run with that many
 	// domains (see Run and ParallelStats). 0 or 1 runs the sequential
-	// kernel exactly as before; higher values are honored only for
-	// configurations the partitioner covers, and fall back loudly
-	// (Metrics.Parallel.Fallback) otherwise. Only the Run entry point
-	// consults it; System always executes sequentially.
+	// kernel exactly as before; higher values are honored only for the
+	// one covered class — DirectoryRing over a segmented ring
+	// (Ring.Segments >= 2), untraced, blocking stores — and fall back
+	// loudly (Metrics.Parallel.Fallback) otherwise. Only the Run entry
+	// point consults it; System always executes sequentially.
 	Parallel int
 }
 
@@ -224,13 +225,11 @@ type ParallelStats struct {
 	// Partitions is the partition count actually used (1 = sequential).
 	Partitions int `json:"partitions"`
 	// Fallback is empty when the request was honored; otherwise it names
-	// why the run fell back to the sequential kernel. Configurations the
-	// partitioner cannot prove independent are never run in parallel
-	// silently.
+	// why the run fell back to the sequential kernel. Configurations
+	// outside the covered class are never run in parallel silently.
 	Fallback string `json:"fallback,omitempty"`
 	// WindowPS is the barrier-window width actually used, in simulated
-	// picoseconds: the minimum boundary-link hop for segmented-
-	// interconnect runs, the fixed domain window otherwise.
+	// picoseconds: the ring's minimum boundary-link hop.
 	WindowPS int64 `json:"window_ps,omitempty"`
 	// Windows and CrossEvents are the parallel kernel's barrier-window
 	// and cross-partition-event counts; CrossWindows is how many windows

@@ -13,11 +13,12 @@
 //   - Each shard is a plain Kernel, so intra-shard execution is exactly
 //     as reproducible as a sequential run.
 //   - Cross-shard events travel through per-(src,dst) SPSC queues and
-//     are delivered in the canonical order (time, source shard, posting
-//     sequence). The posting sequence is assigned by the deterministic
-//     source shard, so delivery order — and therefore the destination
-//     kernel's tie-breaking seq assignment — is a pure function of the
-//     model, never of the thread schedule.
+//     carry an explicit boundary-band calendar position (see
+//     BoundarySeqBand) chosen by the model. The destination schedules
+//     each at exactly that (time, seq) pair, and its calendar orders
+//     by (time, seq), so the order in which the queues are drained —
+//     the only thread-schedule-dependent step — cannot change the
+//     order the events fire in.
 //   - Window boundaries are computed from global simulation state (the
 //     earliest pending event across shards), not wall-clock races.
 //
@@ -28,7 +29,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -52,15 +52,14 @@ type ParStats struct {
 // ParKernel coordinates P Kernel shards through conservative barrier
 // windows. Build it, schedule initial events on the Shard kernels,
 // then Run. Model code running on shard i may post events to shard j
-// with Post, subject to the lookahead contract: the event time must be
-// at or beyond the current window's end.
+// with PostAt, subject to the lookahead contract: the event time must
+// be at or beyond the current window's end.
 type ParKernel struct {
 	shards []*Kernel
 	window Duration
 
 	queues  []*spscRing    // queues[src*P+dst]
 	scratch [][]crossEvent // per-shard delivery scratch (reused)
-	sorters []crossSorter  // per-shard sorter state (no per-round alloc)
 
 	bar       barrier
 	windowEnd Time // events strictly before windowEnd run this window
@@ -95,7 +94,6 @@ func NewParKernel(p int, window Duration) *ParKernel {
 		window:      window,
 		queues:      make([]*spscRing, p*p),
 		scratch:     make([][]crossEvent, p),
-		sorters:     make([]crossSorter, p),
 		crossEvents: make([]uint64, p),
 		winCross:    make([]uint64, p),
 		stallNS:     make([]int64, p),
@@ -122,31 +120,18 @@ func (pk *ParKernel) Shard(i int) *Kernel { return pk.shards[i] }
 // Window returns the configured window width (the lookahead).
 func (pk *ParKernel) Window() Duration { return pk.window }
 
-// Post schedules h to fire at absolute time at on shard dst. It must
-// be called from model code executing on shard src during Run. The
+// PostAt schedules h to fire on shard dst at exactly the calendar
+// position (at, seq) (see Kernel.AtBoundary). It must be called from
+// model code executing on shard src during Run. A sequential execution
+// of the same model that schedules its boundary crossings at the same
+// banded positions builds an identical calendar — the mechanism behind
+// byte-identical parallel runs that carry real cross-shard traffic.
+// seq must have BoundarySeqBand set and must be unique per (at, seq)
+// pair; the model owns that discipline (the segmented ring derives it
+// from the boundary link id and a per-link FIFO counter). The
 // lookahead contract is enforced loudly: at must not precede the
 // current window's end, because the destination may already have
 // advanced into the window.
-func (pk *ParKernel) Post(src, dst int, at Time, h EventHandler) {
-	if h == nil {
-		panic("sim: posting nil event handler")
-	}
-	if end := pk.windowEnd; at < end {
-		panic(fmt.Sprintf("sim: cross-partition event at %v violates lookahead (window ends %v)", at, end))
-	}
-	pk.queues[src*len(pk.shards)+dst].push(at, h)
-}
-
-// PostAt is Post with an explicit boundary-band calendar position (see
-// Kernel.AtBoundary): the event is delivered at exactly (at, seq) on
-// the destination shard instead of taking a fresh tie-break seq. A
-// sequential execution of the same model that schedules its boundary
-// crossings at the same banded positions therefore builds an identical
-// calendar — the mechanism behind byte-identical parallel runs that
-// carry real cross-shard traffic. seq must have BoundarySeqBand set
-// and must be unique per (at, seq) pair; the model owns that
-// discipline (the segmented ring derives it from the boundary link id
-// and a per-link FIFO counter).
 func (pk *ParKernel) PostAt(src, dst int, at Time, seq uint64, h EventHandler) {
 	if h == nil {
 		panic("sim: posting nil event handler")
@@ -236,8 +221,8 @@ func (pk *ParKernel) worker(i int) {
 		// event for the next window has been pushed.
 		pk.stall(i, func() { pk.bar.wait(nil) })
 
-		// Drain phase: deliver cross events addressed to this shard in
-		// canonical (time, src, idx) order.
+		// Drain phase: put cross events addressed to this shard on its
+		// calendar.
 		pk.deliver(i)
 
 		// Barrier 2: all deliveries done; the leader computes the next
@@ -258,67 +243,25 @@ func (pk *ParKernel) stall(i int, fn func()) {
 	pk.stallNS[i] += time.Since(t0).Nanoseconds()
 }
 
-// deliver schedules shard i's incoming cross events. Sorting by
-// (time, source shard, posting sequence) makes the destination
-// kernel's seq assignment — the same-instant tie-breaker — a
-// deterministic function of the model, independent of which goroutine
-// got where first.
+// deliver schedules shard i's incoming cross events. Each lands at
+// its own banded (time, seq) calendar position, so the drain order is
+// irrelevant: the calendar fires them in the same order whichever
+// source queue was read first.
 func (pk *ParKernel) deliver(i int) {
 	p := len(pk.shards)
 	evs := pk.scratch[i][:0]
-	srt := &pk.sorters[i]
-	srt.src = srt.src[:0]
 	for src := 0; src < p; src++ {
-		if src == i {
-			continue
-		}
-		n := len(evs)
-		evs = pk.queues[src*p+i].drainInto(evs)
-		for ; n < len(evs); n++ {
-			srt.src = append(srt.src, src)
+		if src != i {
+			evs = pk.queues[src*p+i].drainInto(evs)
 		}
 	}
 	pk.scratch[i] = evs // keep grown capacity
-	if len(evs) == 0 {
-		pk.winCross[i] = 0
-		return
-	}
-	srt.evs = evs
-	sort.Sort(srt)
 	k := pk.shards[i]
 	for _, ev := range evs {
-		if ev.seq != 0 {
-			k.AtBoundary(ev.at, ev.seq, ev.h)
-		} else {
-			k.AtEvent(ev.at, ev.h)
-		}
+		k.AtBoundary(ev.at, ev.seq, ev.h)
 	}
 	pk.crossEvents[i] += uint64(len(evs))
 	pk.winCross[i] = uint64(len(evs))
-}
-
-// crossSorter orders a delivery batch by (time, source shard, posting
-// sequence). It lives in the ParKernel so sorting allocates nothing in
-// steady state.
-type crossSorter struct {
-	evs []crossEvent
-	src []int
-}
-
-func (s *crossSorter) Len() int { return len(s.evs) }
-func (s *crossSorter) Less(a, b int) bool {
-	ea, eb := s.evs[a], s.evs[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if s.src[a] != s.src[b] {
-		return s.src[a] < s.src[b]
-	}
-	return ea.idx < eb.idx
-}
-func (s *crossSorter) Swap(a, b int) {
-	s.evs[a], s.evs[b] = s.evs[b], s.evs[a]
-	s.src[a], s.src[b] = s.src[b], s.src[a]
 }
 
 // advanceWindow (leader section, single-threaded between barriers)

@@ -36,7 +36,9 @@ func (a *hopActor) OnEvent(at Time) {
 	if atomic.AddInt64(a.left, -1) <= 0 {
 		return
 	}
-	a.pk.Post(a.shard, a.next.shard, at+a.hop, a.next)
+	// The hop count (the next holder's id) is unique per post, so it
+	// makes a valid banded calendar position.
+	a.pk.PostAt(a.shard, a.next.shard, at+a.hop, BoundarySeqBand|a.id, a.next)
 }
 
 // TestParKernelTokenRingExactSchedule checks a deterministic
@@ -88,8 +90,8 @@ func TestParKernelTokenRingExactSchedule(t *testing.T) {
 // chaosWindow is the lookahead used by the randomized model. Every
 // message — local or cross-shard — is delayed by at least one window,
 // so event timestamps are identical no matter how the actors are
-// partitioned; only the transport (direct schedule vs SPSC post)
-// changes with P.
+// partitioned; only the transport (direct schedule vs banded SPSC
+// post) changes with P.
 const chaosWindow = 20 * Nanosecond
 
 // chaosActor is one endpoint of the randomized model; its shard
@@ -127,7 +129,7 @@ func (m *chaosMsg) OnEvent(at Time) {
 		if dst.shard == a.shard {
 			a.pk.Shard(a.shard).AtEvent(at+delay, cm)
 		} else {
-			a.pk.Post(a.shard, dst.shard, at+delay, cm)
+			a.pk.PostAt(a.shard, dst.shard, at+delay, BoundarySeqBand|child, cm)
 		}
 	}
 }
@@ -207,7 +209,7 @@ func TestParKernelLookaheadViolationPanics(t *testing.T) {
 	pk := NewParKernel(2, 100*Nanosecond)
 	evil := &funcHandler{}
 	evil.fn = func(at Time) {
-		pk.Post(0, 1, at+1, evil) // far inside the window: violation
+		pk.PostAt(0, 1, at+1, BoundarySeqBand, evil) // far inside the window: violation
 	}
 	pk.Shard(0).AtEvent(0, evil)
 	pk.Shard(1).AtEvent(0, &funcHandler{fn: func(Time) {}})
@@ -228,21 +230,21 @@ type funcHandler struct{ fn func(Time) }
 func (f *funcHandler) OnEvent(at Time) { f.fn(at) }
 
 // TestSPSCRingOrderAndOverflow exercises the pair queue through its
-// overflow path and checks FIFO order and idx tagging survive.
+// overflow path and checks FIFO order and the banded seqs survive.
 func TestSPSCRingOrderAndOverflow(t *testing.T) {
 	q := newSPSCRing(8)
 	h := &funcHandler{fn: func(Time) {}}
 	const n = 50 // well past the 8-slot lock-free tier
 	for i := 0; i < n; i++ {
-		q.push(Time(i), h)
+		q.pushSeq(Time(i), BoundarySeqBand|uint64(i), h)
 	}
 	got := q.drainInto(nil)
 	if len(got) != n {
 		t.Fatalf("drained %d, want %d", len(got), n)
 	}
 	for i, ev := range got {
-		if ev.at != Time(i) || ev.idx != uint64(i) {
-			t.Fatalf("event %d = {at:%v idx:%d}, want {at:%v idx:%d}", i, ev.at, ev.idx, Time(i), i)
+		if want := BoundarySeqBand | uint64(i); ev.at != Time(i) || ev.seq != want {
+			t.Fatalf("event %d = {at:%v seq:%#x}, want {at:%v seq:%#x}", i, ev.at, ev.seq, Time(i), want)
 		}
 	}
 	if extra := q.drainInto(nil); len(extra) != 0 {
@@ -251,9 +253,9 @@ func TestSPSCRingOrderAndOverflow(t *testing.T) {
 }
 
 // TestParKernelWindowHotPathZeroAlloc guards the window scheduler's
-// steady state: posting through the SPSC tier, delivering a sorted
-// batch into the destination kernel, and dispatching it must not
-// allocate once capacities have warmed.
+// steady state: posting through the SPSC tier, delivering the batch
+// into the destination kernel, and dispatching it must not allocate
+// once capacities have warmed.
 func TestParKernelWindowHotPathZeroAlloc(t *testing.T) {
 	pk := NewParKernel(2, 10*Nanosecond)
 	h := &funcHandler{fn: func(Time) {}}
@@ -263,16 +265,87 @@ func TestParKernelWindowHotPathZeroAlloc(t *testing.T) {
 	cycle := func() {
 		for i := 0; i < 16; i++ {
 			at++
-			q.push(at, h)
+			q.pushSeq(at, BoundarySeqBand|uint64(at), h)
 		}
 		pk.deliver(1)
 		k.Run()
 	}
 	for i := 0; i < 32; i++ {
-		cycle() // warm slab, buckets, scratch, sorter
+		cycle() // warm slab, buckets, scratch
 	}
 	allocs := testing.AllocsPerRun(500, cycle)
 	if allocs > 0 {
 		t.Fatalf("window post+deliver+dispatch cycle allocates %v times per run, want 0", allocs)
+	}
+}
+
+// bandedPost is one cross-shard event of the drain-order test: fire
+// at (at, seq) on the sink shard and log id.
+type bandedPost struct {
+	at  Time
+	seq uint64
+	id  uint64
+}
+
+// runBandedPosts runs three shards: at time 0, shard 0 posts byShard[0]
+// and shard 1 posts byShard[1] to shard 2, each in slice order. It
+// returns shard 2's dispatch log.
+func runBandedPosts(byShard [2][]bandedPost) []logEntry {
+	const window = 10 * Nanosecond
+	pk := NewParKernel(3, window)
+	var log []logEntry
+	for src := 0; src < 2; src++ {
+		src := src
+		pk.Shard(src).AtEvent(0, &funcHandler{fn: func(Time) {
+			for _, ev := range byShard[src] {
+				id := ev.id
+				pk.PostAt(src, 2, ev.at, ev.seq, &funcHandler{fn: func(at Time) {
+					log = append(log, logEntry{Shard: 2, At: at, ID: id})
+				}})
+			}
+		}})
+	}
+	pk.Run()
+	return log
+}
+
+// TestParKernelBandedDeliveryIgnoresDrainOrder pins the property that
+// lets delivery skip sorting: the same banded events, posted from two
+// source shards in different orders and split differently between the
+// shards, fire on the destination in one order — (time, seq) — because
+// each lands at its own calendar position.
+func TestParKernelBandedDeliveryIgnoresDrainOrder(t *testing.T) {
+	var evs []bandedPost
+	for i := 0; i < 12; i++ {
+		// Four instants, three events each, with seqs deliberately out
+		// of step with the ids so ties exercise the seq order.
+		at := Time(10+10*(i%4)) * Nanosecond
+		evs = append(evs, bandedPost{at: at, seq: BoundarySeqBand | uint64((i*7)%12), id: uint64(i)})
+	}
+	var forward, backward [2][]bandedPost
+	for i, ev := range evs {
+		forward[i%2] = append(forward[i%2], ev)
+		// The other split, each shard posting in reverse.
+		backward[(i/2)%2] = append([]bandedPost{ev}, backward[(i/2)%2]...)
+	}
+	a, b := runBandedPosts(forward), runBandedPosts(backward)
+	if len(a) != len(evs) {
+		t.Fatalf("dispatched %d events, want %d", len(a), len(evs))
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("dispatch order depends on posting order:\n%v\n%v", a, b)
+	}
+	want := append([]bandedPost(nil), evs...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	for i, e := range a {
+		if e.At != want[i].at || e.ID != want[i].id {
+			t.Fatalf("dispatch %d = id %d at %v, want id %d at %v (time, seq order)",
+				i, e.ID, e.At, want[i].id, want[i].at)
+		}
 	}
 }

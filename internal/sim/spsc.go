@@ -2,19 +2,12 @@ package sim
 
 import "sync/atomic"
 
-// crossEvent is one event posted across partitions: fire h at absolute
-// time at on the destination shard. idx is the per-(src,dst) posting
-// sequence number; the delivery pass sorts on (at, src, idx), which
-// pins the cross-traffic interleaving to the model's deterministic
-// posting order instead of the thread schedule.
+// crossEvent is one event posted across partitions: fire h on the
+// destination shard at the boundary-band calendar position (at, seq)
+// (see BoundarySeqBand), the same position a sequential run of the
+// same model gives it.
 type crossEvent struct {
 	at  Time
-	idx uint64
-	// seq, when nonzero, is an explicit boundary-band calendar position
-	// (see BoundarySeqBand): the destination schedules the event with
-	// AtBoundary instead of taking a fresh tie-break seq, so the event
-	// lands at the same (time, seq) position a sequential run of the
-	// same model gives it.
 	seq uint64
 	h   EventHandler
 }
@@ -42,10 +35,8 @@ type spscRing struct {
 	head atomic.Uint64 // next slot to pop (consumer-owned)
 	tail atomic.Uint64 // next slot to push (producer-owned)
 
-	// overflow spills posts beyond the ring's capacity; nextIdx is the
-	// pair's posting sequence (producer-private).
+	// overflow spills posts beyond the ring's capacity.
 	overflow []crossEvent
-	nextIdx  uint64
 }
 
 // newSPSCRing returns a ring holding up to capacity events in its
@@ -58,17 +49,10 @@ func newSPSCRing(capacity int) *spscRing {
 	return &spscRing{buf: make([]crossEvent, n), mask: uint64(n - 1)}
 }
 
-// push enqueues one event, tagging it with the pair's next posting
-// sequence number. Producer side only (run phase).
-func (q *spscRing) push(at Time, h EventHandler) {
-	q.pushSeq(at, 0, h)
-}
-
-// pushSeq enqueues one event carrying an explicit boundary-band
-// calendar seq (0 for none). Producer side only (run phase).
+// pushSeq enqueues one event for the banded calendar position
+// (at, seq). Producer side only (run phase).
 func (q *spscRing) pushSeq(at Time, seq uint64, h EventHandler) {
-	ev := crossEvent{at: at, idx: q.nextIdx, seq: seq, h: h}
-	q.nextIdx++
+	ev := crossEvent{at: at, seq: seq, h: h}
 	tail := q.tail.Load()
 	if tail-q.head.Load() < uint64(len(q.buf)) {
 		q.buf[tail&q.mask] = ev

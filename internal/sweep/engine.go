@@ -90,10 +90,10 @@ type Options struct {
 	Trace obs.Config
 	// Parallel requests partitioned parallel execution (that many
 	// domains) in the default standalone executor. Like Trace it is an
-	// execution detail, never part of a job's identity: covered
-	// configurations produce byte-identical results at any partition
-	// count, and uncovered ones fall back to the sequential kernel
-	// (counted in Stats.ParallelFallbacks).
+	// execution detail, never part of a job's identity: covered jobs
+	// (directory-ring over a segmented ring) produce byte-identical
+	// results at any partition count, and all others fall back to the
+	// sequential kernel (counted in Stats.ParallelFallbacks).
 	Parallel int
 }
 
@@ -171,8 +171,7 @@ type Stats struct {
 	// ParallelCrossWindows sums windows that delivered cross-partition
 	// events; ParallelWindowPS is the narrowest (most conservative)
 	// barrier-window width any parallel run used, in simulated
-	// picoseconds — segmented-interconnect runs derive it from the
-	// boundary-link hop latency.
+	// picoseconds — the ring's boundary-link hop latency.
 	ParallelCrossWindows uint64 `json:"parallel_cross_windows,omitempty"`
 	ParallelWindowPS     int64  `json:"parallel_window_ps,omitempty"`
 	// LastBatch summarizes the most recent Run call; a repeated sweep

@@ -108,22 +108,24 @@ var profiles = []Profile{
 }
 
 // privateProfiles is the PRIVATE family: synthetic all-private
-// workloads (no shared data, no migration) used by the parallel
-// execution mode's covered class and its scaling benchmarks. The mix
-// approximates a Table 2 private-reference column — ~2 ifetches per
-// data reference, a 5% private miss rate — at ring-scale CPU counts.
-// They are deliberately NOT part of Profiles(): the Table 2
-// enumeration that the calibration suites and analytical-model
-// comparisons iterate must keep exactly the paper's rows.
+// workloads (no shared data, no migration), reachable through
+// ProfileFor. Over a segmented ring they are the zero-coupling
+// diagnostic of the partitioned kernel: every miss stays at its home
+// node, so a partitioned run carries no cross-shard events and its
+// cost is the window machinery alone. The mix approximates a Table 2
+// private-reference column — ~2 ifetches per data reference, a 5%
+// private miss rate — at ring-scale CPU counts. They are deliberately
+// NOT part of Profiles(): the Table 2 enumeration that the calibration
+// suites and analytical-model comparisons iterate must keep exactly
+// the paper's rows.
 var privateProfiles = []Profile{
 	mkPrivate(8), mkPrivate(16), mkPrivate(32), mkPrivate(64),
 }
 
 // mkPrivate builds the PRIVATE profile at one CPU count. PrivateFrac
-// is exactly 1, so generated streams never touch shared regions — the
-// property the parallel partitioner keys on (the directory protocol
-// then never crosses node boundaries). CPU counts stop at 64, the
-// directory presence-bitmap width.
+// is exactly 1, so generated streams never touch shared regions (the
+// directory protocol then never crosses node boundaries). CPU counts
+// stop at 64, the directory presence-bitmap width.
 func mkPrivate(cpus int) Profile {
 	return Profile{
 		Name:             "PRIVATE",
@@ -141,14 +143,6 @@ func mkPrivate(cpus int) Profile {
 func Profiles() []Profile {
 	out := make([]Profile, len(profiles))
 	copy(out, profiles)
-	return out
-}
-
-// PrivateProfiles returns the synthetic PRIVATE family (see
-// privateProfiles); not part of the Table 2 enumeration.
-func PrivateProfiles() []Profile {
-	out := make([]Profile, len(privateProfiles))
-	copy(out, privateProfiles)
 	return out
 }
 

@@ -116,16 +116,15 @@ type Config struct {
 	// with that many domains. Covered configurations produce results
 	// byte-identical to the sequential kernel; everything else falls
 	// back to sequential execution with Result.ParallelFallback naming
-	// why. 0 or 1 (the default) is today's sequential kernel, untouched.
+	// why. 0 or 1 (the default) is the sequential kernel, untouched.
 	//
-	// The covered class is directory-ring, untraced, blocking stores,
-	// and either (a) a private-only workload such as the PRIVATE
-	// benchmarks (independent domains, any partition count up to the
-	// CPU count), or (b) RingSegments >= 2 (the segmented interconnect,
-	// any workload: boundary-crossing coherence traffic is carried as
-	// cross-partition events under the boundary links' hop-latency
-	// lookahead; the partition count is clamped to the largest divisor
-	// of the segment count within the request).
+	// The covered class is the segmented directory ring: directory-ring
+	// protocol, RingSegments >= 2, untraced, blocking stores, any
+	// workload. Each domain owns whole segments; boundary-crossing
+	// coherence traffic is carried as cross-partition events under the
+	// boundary links' hop-latency lookahead, and the partition count is
+	// clamped to the largest divisor of the segment count within the
+	// request.
 	Parallel int
 	// RingSegments, when >= 2, selects the segmented ring interconnect:
 	// the ring is split into that many contiguous node segments with

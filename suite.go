@@ -32,11 +32,6 @@ type SuiteOptions struct {
 	// content-addressed on-disk cache, so a rerun of the suite replays
 	// instead of recomputing.
 	CacheDir string
-	// Parallel requests partitioned parallel execution of each covered
-	// calibration simulation; uncovered configurations (all the shared
-	// Table 2 workloads) fall back to sequential with identical
-	// results, so the suite's output never depends on this knob.
-	Parallel int
 }
 
 // NewSuite returns an evaluation suite.
@@ -47,7 +42,6 @@ func NewSuite(opts SuiteOptions) *Suite {
 		Seed:           opts.Seed,
 		Workers:        opts.Workers,
 		CacheDir:       opts.CacheDir,
-		Parallel:       opts.Parallel,
 	})}
 }
 
