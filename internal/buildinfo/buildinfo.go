@@ -7,7 +7,6 @@ package buildinfo
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 )
@@ -60,19 +59,4 @@ func (i Info) String() string {
 		}
 	}
 	return fmt.Sprintf("%s (%s, rev %s)", i.Version, i.GoVersion, rev)
-}
-
-// WriteMetric writes the ringsim_build_info gauge in Prometheus
-// exposition format: constant 1 with the identity as labels, the
-// standard pattern for joining build identity onto any other series.
-func WriteMetric(w io.Writer) {
-	i := Read()
-	rev := i.Revision
-	if i.Modified {
-		rev += "+dirty"
-	}
-	fmt.Fprintf(w, "# HELP ringsim_build_info Build identity of the running binary (constant 1).\n")
-	fmt.Fprintf(w, "# TYPE ringsim_build_info gauge\n")
-	fmt.Fprintf(w, "ringsim_build_info{version=%q,goversion=%q,revision=%q} 1\n",
-		i.Version, i.GoVersion, rev)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	olog "repro/internal/obs/slog"
@@ -39,12 +37,12 @@ const scrapeLimit = 8 << 20
 // page, because the metrics endpoint is exactly what an operator
 // reaches for when part of the fleet is down.
 func (c *Coordinator) FederateMetrics(ctx context.Context, self func(io.Writer), w io.Writer) {
-	// Render the local page first and remember its families so worker
-	// pages don't repeat HELP/TYPE headers for shared series.
+	// The local page goes first, so worker pages don't repeat its
+	// HELP/TYPE lines for shared families.
 	var buf bytes.Buffer
 	self(&buf)
-	declared := declaredFamilies(buf.Bytes())
-	w.Write(buf.Bytes())
+	seen := make(map[string]bool)
+	stats.Federate(w, buf.Bytes(), "", "", seen)
 
 	for _, m := range c.reg.status() {
 		if !m.Live {
@@ -55,7 +53,7 @@ func (c *Coordinator) FederateMetrics(ctx context.Context, self func(io.Writer),
 			c.log.Warn("metrics scrape failed", olog.KeyWorker, m.ID, olog.KeyError, err.Error())
 			continue
 		}
-		writeRelabeled(w, body, m.ID, declared)
+		stats.Federate(w, body, "worker", m.ID, seen)
 	}
 	c.writeFleetHistograms(ctx, w)
 }
@@ -79,86 +77,12 @@ func (c *Coordinator) scrape(ctx context.Context, url string) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, scrapeLimit))
 }
 
-// declaredFamilies collects the metric families an exposition body
-// already carries HELP/TYPE headers for.
-func declaredFamilies(body []byte) map[string]bool {
-	out := make(map[string]bool)
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			if f := strings.Fields(line); len(f) >= 3 {
-				out[f[2]] = true
-			}
-		}
-	}
-	return out
-}
-
-// writeRelabeled copies one worker's exposition onto w, injecting
-// worker="<id>" into every sample line and emitting each family's
-// HELP/TYPE headers only the first time any node declares them.
-func writeRelabeled(w io.Writer, body []byte, workerID string, declared map[string]bool) {
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			f := strings.Fields(line)
-			if len(f) < 3 {
-				continue
-			}
-			if strings.HasPrefix(line, "# HELP ") {
-				if declared[f[2]] {
-					continue
-				}
-				declared[f[2]] = true
-			} else if declared[f[2]] {
-				// TYPE of an already-declared family: the first
-				// declaration covered it.
-				continue
-			}
-			fmt.Fprintln(w, line)
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		fmt.Fprintln(w, relabelSample(line, workerID))
-	}
-}
-
-// relabelSample injects worker="<id>" as the first label of one
-// exposition sample line. Lines that don't look like samples pass
-// through unchanged.
-func relabelSample(line, workerID string) string {
-	i := strings.IndexAny(line, "{ ")
-	if i < 0 {
-		return line
-	}
-	if line[i] == '{' {
-		if strings.HasPrefix(line[i:], "{}") {
-			return line[:i] + fmt.Sprintf("{worker=%q}", workerID) + line[i+2:]
-		}
-		return line[:i+1] + fmt.Sprintf("worker=%q,", workerID) + line[i+1:]
-	}
-	return line[:i] + fmt.Sprintf("{worker=%q}", workerID) + line[i:]
-}
-
 // writeFleetHistograms scrapes each live worker's obsagg snapshots and
 // emits the fleet-merged per-class span aggregates. A snapshot that
 // fails validation or has a different bucket shape is skipped (and
 // logged), never merged blindly.
 func (c *Coordinator) writeFleetHistograms(ctx context.Context, w io.Writer) {
-	type classState struct {
-		spans uint64
-		hist  *stats.ExpHistogram
-	}
-	merged := make(map[string]*classState)
+	merged := make(map[string]*fleetClass)
 	for _, m := range c.reg.status() {
 		if !m.Live {
 			continue
@@ -179,45 +103,22 @@ func (c *Coordinator) writeFleetHistograms(ctx context.Context, w io.Writer) {
 				c.log.Warn("obsagg snapshot invalid", olog.KeyWorker, m.ID, "class", a.Class, olog.KeyError, err.Error())
 				continue
 			}
-			st := merged[a.Class]
-			if st == nil {
-				merged[a.Class] = &classState{spans: a.Spans, hist: h}
+			fc := merged[a.Class]
+			if fc == nil {
+				merged[a.Class] = &fleetClass{class: a.Class, spans: a.Spans, hist: h}
 				continue
 			}
-			if err := st.hist.Merge(h); err != nil {
+			if err := fc.hist.Merge(h); err != nil {
 				c.log.Warn("obsagg merge failed", olog.KeyWorker, m.ID, "class", a.Class, olog.KeyError, err.Error())
 				continue
 			}
-			st.spans += a.Spans
+			fc.spans += a.Spans
 		}
 	}
-	if len(merged) == 0 {
-		return
+	classes := make([]fleetClass, 0, len(merged))
+	for _, fc := range merged {
+		classes = append(classes, *fc)
 	}
-	classes := make([]string, 0, len(merged))
-	for cl := range merged {
-		classes = append(classes, cl)
-	}
-	sort.Strings(classes)
-
-	fmt.Fprintln(w, "# HELP ringsim_fleet_spans_total Coherence-transaction spans observed across every live worker's engine, merged by the coordinator.")
-	fmt.Fprintln(w, "# TYPE ringsim_fleet_spans_total counter")
-	for _, cl := range classes {
-		fmt.Fprintf(w, "ringsim_fleet_spans_total{class=%q} %d\n", cl, merged[cl].spans)
-	}
-	fmt.Fprintln(w, "# HELP ringsim_fleet_span_latency_ns Fleet-merged coherence-span latency by transaction class (simulated nanoseconds), folded from worker obsagg snapshots via histogram merge.")
-	fmt.Fprintln(w, "# TYPE ringsim_fleet_span_latency_ns histogram")
-	for _, cl := range classes {
-		h := merged[cl].hist
-		bounds, counts := h.Buckets()
-		var cum uint64
-		for i, b := range bounds {
-			cum += counts[i]
-			fmt.Fprintf(w, "ringsim_fleet_span_latency_ns_bucket{class=%q,le=\"%g\"} %d\n", cl, b, cum)
-		}
-		cum += counts[len(counts)-1]
-		fmt.Fprintf(w, "ringsim_fleet_span_latency_ns_bucket{class=%q,le=\"+Inf\"} %d\n", cl, cum)
-		fmt.Fprintf(w, "ringsim_fleet_span_latency_ns_sum{class=%q} %g\n", cl, h.Sum())
-		fmt.Fprintf(w, "ringsim_fleet_span_latency_ns_count{class=%q} %d\n", cl, h.N())
-	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i].class < classes[j].class })
+	stats.WriteFamilies(w, fleetFamilies, classes)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -207,13 +208,20 @@ func TestClusterMetricsFederation(t *testing.T) {
 	f.coord.FederateMetrics(context.Background(), f.coord.WriteMetrics, &out)
 	text := out.String()
 
-	// Every sample parses; no family is declared twice.
+	compareGolden(t, "testdata/federated_metrics.golden", maskExposition(text))
+
+	// Every sample parses; every family is declared once, with exactly
+	// one TYPE, including families only a worker page carries.
 	sampleRe := regexp.MustCompile(
 		`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\n]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\n]*")*\})? (-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|\+Inf|NaN)$`)
-	declared := map[string]int{}
+	declared, typed := map[string]int{}, map[string]int{}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "# HELP ") {
 			declared[strings.Fields(line)[2]]++
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			typed[strings.Fields(line)[2]]++
 			continue
 		}
 		if strings.HasPrefix(line, "#") || line == "" {
@@ -226,6 +234,9 @@ func TestClusterMetricsFederation(t *testing.T) {
 	for family, n := range declared {
 		if n > 1 {
 			t.Errorf("family %s declared %d times", family, n)
+		}
+		if typed[family] != 1 {
+			t.Errorf("family %s has %d TYPE lines, want 1", family, typed[family])
 		}
 	}
 
@@ -317,4 +328,42 @@ func findLine(t *testing.T, text, prefix string) string {
 		}
 	}
 	return ""
+}
+
+// maskExposition keeps an exposition page's HELP/TYPE lines and each
+// sample's name and labels, dropping the values, which depend on
+// timing.
+func maskExposition(page string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(strings.TrimRight(page, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		b.WriteString(line + "\n")
+	}
+	return b.String()
+}
+
+// compareGolden reports the first line where got departs from the
+// golden file.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(raw), "\n")
+	lines := strings.Split(got, "\n")
+	for i := 0; i < len(want) || i < len(lines); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(lines) {
+			g = lines[i]
+		}
+		if w != g {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
+		}
+	}
 }

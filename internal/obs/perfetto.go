@@ -18,8 +18,9 @@ import (
 // format; displayTimeUnit asks the viewer to label in nanoseconds,
 // the natural scale here.
 
-// traceEvent is one entry of the traceEvents array.
-type traceEvent struct {
+// TraceEvent is one entry of a Chrome trace file's traceEvents array,
+// the event type every trace export in the module writes.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -33,7 +34,7 @@ type traceEvent struct {
 // traceFile is the top-level JSON object.
 type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 	OtherData       traceSummary `json:"otherData"`
 }
 
@@ -87,7 +88,7 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 		f.OtherData = t.summary()
 	}
 	if f.TraceEvents == nil {
-		f.TraceEvents = []traceEvent{}
+		f.TraceEvents = []TraceEvent{}
 	}
 	b, err := json.Marshal(&f)
 	if err != nil {
@@ -148,10 +149,10 @@ func (t *Tracer) summary() traceSummary {
 // events builds the traceEvents array: metadata naming the tracks,
 // one slice (plus phase sub-slices) per sampled span, and counter
 // series for the occupancy tracks.
-func (t *Tracer) events() []traceEvent {
-	var evs []traceEvent
+func (t *Tracer) events() []TraceEvent {
+	var evs []TraceEvent
 	meta := func(pid, tid int, key, val string) {
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: key, Ph: "M", PID: pid, TID: tid,
 			Args: map[string]any{"name": val},
 		})
@@ -179,7 +180,7 @@ func (t *Tracer) events() []traceEvent {
 		sort.SliceStable(wps, func(i, j int) bool { return wps[i].at < wps[j].at })
 		wps = append(wps, waypoint{r.End, "fill"})
 
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: r.Txn.String(), Cat: "txn", Ph: "X",
 			TS: us(r.Start), Dur: us(r.End - r.Start),
 			PID: pidProcs, TID: int(r.Proc),
@@ -189,7 +190,7 @@ func (t *Tracer) events() []traceEvent {
 			if to.at <= from.at {
 				continue
 			}
-			evs = append(evs, traceEvent{
+			evs = append(evs, TraceEvent{
 				Name: to.label, Cat: "phase", Ph: "X",
 				TS: us(from.at), Dur: us(to.at - from.at),
 				PID: pidProcs, TID: int(r.Proc),
@@ -212,7 +213,7 @@ func (t *Tracer) events() []traceEvent {
 				busy += edges[i].d
 				i++
 			}
-			evs = append(evs, traceEvent{
+			evs = append(evs, TraceEvent{
 				Name: tr.name, Ph: "C", TS: us(at),
 				PID: pidNet, TID: 0,
 				Args: map[string]any{"busy": busy},

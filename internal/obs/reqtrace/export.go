@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Chrome-trace-event export of a request's span tree, in the same
@@ -13,28 +15,17 @@ import (
 // microseconds relative to the earliest span so the viewer does not
 // render 50 years of empty timeline before the request.
 
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 type chromeFile struct {
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent  `json:"traceEvents"`
-	OtherData       map[string]any `json:"otherData"`
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+	TraceEvents     []obs.TraceEvent `json:"traceEvents"`
+	OtherData       map[string]any   `json:"otherData"`
 }
 
 // WriteChrome writes the trace as Chrome trace event JSON.
 func (d TraceDoc) WriteChrome(w io.Writer) error {
 	f := chromeFile{
 		DisplayTimeUnit: "ns",
-		TraceEvents:     []chromeEvent{},
+		TraceEvents:     []obs.TraceEvent{},
 		OtherData: map[string]any{
 			"request_id": d.RequestID,
 			"spans":      len(d.Spans),
@@ -53,7 +44,7 @@ func (d TraceDoc) WriteChrome(w io.Writer) error {
 	sort.Strings(services)
 	for i, svc := range services {
 		pids[svc] = i
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		f.TraceEvents = append(f.TraceEvents, obs.TraceEvent{
 			Name: "process_name", Ph: "M", PID: i,
 			Args: map[string]any{"name": svc},
 		})
@@ -73,7 +64,7 @@ func (d TraceDoc) WriteChrome(w io.Writer) error {
 		for k, v := range s.Attrs {
 			args[k] = v
 		}
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		f.TraceEvents = append(f.TraceEvents, obs.TraceEvent{
 			Name: s.Name, Cat: "request", Ph: "X",
 			TS: float64(s.StartUS - t0), Dur: float64(s.DurUS),
 			PID: pids[s.Service], TID: 0,

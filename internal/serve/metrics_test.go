@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/reqtrace"
 	"repro/internal/sweep"
+	"repro/internal/tenant"
 )
 
 // expositionLine matches one Prometheus text-format sample:
@@ -168,5 +172,96 @@ func TestResultTraceEndpoint(t *testing.T) {
 			t.Errorf("untraced result trace status %d, want 404", r.StatusCode)
 		}
 		r.Body.Close()
+	}
+}
+
+// TestBuildInfoMetricShape pins the ringsim_build_info row: a gauge
+// of constant 1 carrying the binary's identity as labels.
+func TestBuildInfoMetricShape(t *testing.T) {
+	s, _ := newTestServer(t, &fakeExecutor{}, Options{})
+	var b strings.Builder
+	s.renderMetrics(&b)
+	out := b.String()
+	for _, want := range []string{
+		"# HELP ringsim_build_info ",
+		"# TYPE ringsim_build_info gauge",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	re := regexp.MustCompile(`(?m)^ringsim_build_info\{version="[^"]+",goversion="go[^"]+",revision="[^"]*"\} 1$`)
+	if !re.MatchString(out) {
+		t.Errorf("sample line malformed:\n%s", out)
+	}
+}
+
+// TestMetricsGolden pins the shape of /metrics — every HELP and TYPE
+// line, then each sample's name and labels, in order — against a
+// golden captured from the hand-written exposition the descriptor
+// tables replaced. Every conditional family is on: a traced engine
+// (span latency), a tenant registry, and a request tracer. Sample
+// values depend on timing and are masked.
+func TestMetricsGolden(t *testing.T) {
+	eng := sweep.New(sweep.Options{Workers: 2, Trace: obs.Config{SampleEvery: 16}})
+	reg := mustRegistry(t, []tenant.Tenant{{ID: "acme", Keys: []string{"acme-key"}}}, true)
+	_, ts := newTestServer(t, nil, Options{Engine: eng, Tenants: reg, ReqTracer: reqtrace.NewTracer("serve", 64)})
+
+	job := sweep.Job{Benchmark: "MP3D", CPUs: 8, DataRefsPerCPU: 200, Seed: 4}
+	postJob(t, ts.URL, job, "")
+	postJob(t, ts.URL, job, "")
+	postJobAs(t, ts.URL, "acme-key", testJob(5))
+	if resp, err := http.Get(ts.URL + "/healthz"); err == nil {
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, _ := io.ReadAll(resp.Body)
+	compareGolden(t, "testdata/metrics.golden", maskExposition(string(page)))
+}
+
+var buildLabel = regexp.MustCompile(`="[^"]*"`)
+
+// maskExposition keeps an exposition page's HELP/TYPE lines and each
+// sample's name and labels, dropping the values. The build identity
+// labels vary with the toolchain and checkout, so they are masked too.
+func maskExposition(page string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(strings.TrimRight(page, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		if strings.HasPrefix(line, "ringsim_build_info{") {
+			line = buildLabel.ReplaceAllString(line, `="*"`)
+		}
+		b.WriteString(line + "\n")
+	}
+	return b.String()
+}
+
+// compareGolden reports the first line where got departs from the
+// golden file.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(raw), "\n")
+	lines := strings.Split(got, "\n")
+	for i := 0; i < len(want) || i < len(lines); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(lines) {
+			g = lines[i]
+		}
+		if w != g {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
+		}
 	}
 }

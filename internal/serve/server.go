@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/obs/reqtrace"
 	olog "repro/internal/obs/slog"
@@ -1039,167 +1038,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.renderMetrics(w)
-}
-
-// renderMetrics writes the full exposition to any writer — the same
-// body /metrics serves, reused by the cluster's metrics federation as
-// the coordinator's own contribution.
-func (s *Server) renderMetrics(w io.Writer) {
-	buildinfo.WriteMetric(w)
-	queued, inflight := s.adm.gauges()
-	st := s.eng.Stats()
-	fmt.Fprintln(w, "# HELP ringsim_serve_queue_depth Requests waiting for admission.")
-	fmt.Fprintln(w, "# TYPE ringsim_serve_queue_depth gauge")
-	fmt.Fprintf(w, "ringsim_serve_queue_depth %d\n", queued)
-	fmt.Fprintln(w, "# HELP ringsim_serve_in_flight Requests holding execution slots.")
-	fmt.Fprintln(w, "# TYPE ringsim_serve_in_flight gauge")
-	fmt.Fprintf(w, "ringsim_serve_in_flight %d\n", inflight)
-	fmt.Fprintln(w, "# HELP ringsim_serve_draining Whether the server is draining.")
-	fmt.Fprintln(w, "# TYPE ringsim_serve_draining gauge")
-	fmt.Fprintf(w, "ringsim_serve_draining %d\n", map[bool]int{false: 0, true: 1}[s.draining()])
-
-	fmt.Fprintln(w, "# HELP ringsim_engine_jobs_total Engine job outcomes over the server lifetime.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_jobs_total counter")
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"queued\"} %d\n", st.Queued)
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"done\"} %d\n", st.Done)
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"computed\"} %d\n", st.Computed)
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"cache_hits\"} %d\n", st.CacheHits)
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"disk_hits\"} %d\n", st.DiskHits)
-	fmt.Fprintf(w, "ringsim_engine_jobs_total{state=\"errors\"} %d\n", st.Errors)
-	fmt.Fprintln(w, "# HELP ringsim_engine_running_jobs Jobs executing in the engine right now.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_running_jobs gauge")
-	fmt.Fprintf(w, "ringsim_engine_running_jobs %d\n", st.Running)
-	fmt.Fprintln(w, "# HELP ringsim_engine_cache_hit_ratio Lifetime fraction of jobs served from cache.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_cache_hit_ratio gauge")
-	fmt.Fprintf(w, "ringsim_engine_cache_hit_ratio %g\n", st.HitRate())
-	fmt.Fprintln(w, "# HELP ringsim_engine_exec_seconds_total Wall clock spent executing jobs, summed across workers.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_exec_seconds_total counter")
-	fmt.Fprintf(w, "ringsim_engine_exec_seconds_total %g\n", st.ExecWall.Seconds())
-	fmt.Fprintln(w, "# HELP ringsim_engine_simulated_ns_total Simulated nanoseconds produced by computed jobs.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_simulated_ns_total counter")
-	fmt.Fprintf(w, "ringsim_engine_simulated_ns_total %d\n", st.SimulatedPS/1000)
-	fmt.Fprintln(w, "# HELP ringsim_engine_events_fired_total Kernel events dispatched by computed jobs.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_events_fired_total counter")
-	fmt.Fprintf(w, "ringsim_engine_events_fired_total %d\n", st.EventsFired)
-	fmt.Fprintln(w, "# HELP ringsim_engine_events_per_second Event dispatch rate over execution wall clock.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_events_per_second gauge")
-	fmt.Fprintf(w, "ringsim_engine_events_per_second %g\n", st.EventsPerSec)
-	fmt.Fprintln(w, "# HELP ringsim_engine_events_per_job Mean kernel events per computed job.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_events_per_job gauge")
-	fmt.Fprintf(w, "ringsim_engine_events_per_job %g\n", st.MeanJobEvents)
-	fmt.Fprintln(w, "# HELP ringsim_engine_event_slab_max Largest event-record pool any job's kernel allocated.")
-	fmt.Fprintln(w, "# TYPE ringsim_engine_event_slab_max gauge")
-	fmt.Fprintf(w, "ringsim_engine_event_slab_max %d\n", st.EventSlabMax)
-
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_runs_total Computed jobs executed on the partitioned parallel kernel.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_runs_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_runs_total %d\n", st.ParallelRuns)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_fallbacks_total Jobs where a parallel request fell back to the sequential kernel.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_fallbacks_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_fallbacks_total %d\n", st.ParallelFallbacks)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_windows_total Conservative barrier windows advanced across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_windows_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_windows_total %d\n", st.ParallelWindows)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_cross_events_total Cross-partition events exchanged across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_cross_events_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_cross_events_total %d\n", st.ParallelCrossEvents)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_cross_windows_total Barrier windows that delivered at least one cross-partition event, summed across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_cross_windows_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_cross_windows_total %d\n", st.ParallelCrossWindows)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_window_width_ps Narrowest barrier-window width any parallel run used, in simulated picoseconds (the boundary-link lookahead for segmented-interconnect runs).")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_window_width_ps gauge")
-	fmt.Fprintf(w, "ringsim_sim_parallel_window_width_ps %d\n", st.ParallelWindowPS)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_barrier_stall_ns_total Wall clock partitions spent waiting at window barriers, summed across partitions and runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_barrier_stall_ns_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_barrier_stall_ns_total %d\n", st.ParallelBarrierStallNS)
-
-	fmt.Fprintln(w, "# HELP ringsim_obs_spans_total Coherence-transaction spans observed by computed jobs, by class.")
-	fmt.Fprintln(w, "# TYPE ringsim_obs_spans_total counter")
-	fmt.Fprintf(w, "ringsim_obs_spans_total %d\n", st.SpansObserved)
-	fmt.Fprintln(w, "# HELP ringsim_obs_spans_sampled_total Spans captured as full trace records.")
-	fmt.Fprintln(w, "# TYPE ringsim_obs_spans_sampled_total counter")
-	fmt.Fprintf(w, "ringsim_obs_spans_sampled_total %d\n", st.SpansSampled)
-	fmt.Fprintln(w, "# HELP ringsim_obs_spans_dropped_total Sampled spans overwritten in the trace ring buffers before completing.")
-	fmt.Fprintln(w, "# TYPE ringsim_obs_spans_dropped_total counter")
-	fmt.Fprintf(w, "ringsim_obs_spans_dropped_total %d\n", st.SpansDropped)
-	if agg := s.eng.TraceAgg(); len(agg) > 0 {
-		fmt.Fprintln(w, "# HELP ringsim_obs_span_latency_seconds Coherence-transaction latency by class, across computed jobs.")
-		fmt.Fprintln(w, "# TYPE ringsim_obs_span_latency_seconds histogram")
-		for _, a := range agg {
-			// The tracer's histograms are in nanoseconds; the exposition
-			// contract is base units (seconds).
-			bounds, counts := a.Latency.Buckets()
-			var cum uint64
-			for i, b := range bounds {
-				cum += counts[i]
-				fmt.Fprintf(w, "ringsim_obs_span_latency_seconds_bucket{class=%q,le=\"%g\"} %d\n", a.Class, b/1e9, cum)
-			}
-			cum += counts[len(counts)-1]
-			fmt.Fprintf(w, "ringsim_obs_span_latency_seconds_bucket{class=%q,le=\"+Inf\"} %d\n", a.Class, cum)
-			fmt.Fprintf(w, "ringsim_obs_span_latency_seconds_sum{class=%q} %g\n", a.Class, a.Latency.Sum()/1e9)
-			fmt.Fprintf(w, "ringsim_obs_span_latency_seconds_count{class=%q} %d\n", a.Class, a.Latency.N())
-		}
-	}
-
-	if s.rt.Enabled() {
-		traces, spans, dropped := s.rt.Stats()
-		fmt.Fprintln(w, "# HELP ringsim_reqtrace_traces Request traces retained in the in-process store.")
-		fmt.Fprintln(w, "# TYPE ringsim_reqtrace_traces gauge")
-		fmt.Fprintf(w, "ringsim_reqtrace_traces %d\n", traces)
-		fmt.Fprintln(w, "# HELP ringsim_reqtrace_spans_total Request spans recorded since start.")
-		fmt.Fprintln(w, "# TYPE ringsim_reqtrace_spans_total counter")
-		fmt.Fprintf(w, "ringsim_reqtrace_spans_total %d\n", spans)
-		fmt.Fprintln(w, "# HELP ringsim_reqtrace_spans_dropped_total Request spans evicted from the bounded store.")
-		fmt.Fprintln(w, "# TYPE ringsim_reqtrace_spans_dropped_total counter")
-		fmt.Fprintf(w, "ringsim_reqtrace_spans_dropped_total %d\n", dropped)
-	}
-
-	s.renderTenantMetrics(w)
-	s.met.render(w)
-	if s.extraMet != nil {
-		s.extraMet(w)
-	}
-}
-
-// renderTenantMetrics emits the ringsim_tenant_* family: per-tenant
-// job outcomes, rejections, resource consumption, and live admission
-// gauges. Tenants appear in registration order (the registry) and
-// lexicographic order (the admitter), both deterministic.
-func (s *Server) renderTenantMetrics(w io.Writer) {
-	all := s.tenants.All()
-	fmt.Fprintln(w, "# HELP ringsim_tenant_jobs_total Jobs served per tenant by outcome.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_jobs_total counter")
-	for _, tu := range all {
-		fmt.Fprintf(w, "ringsim_tenant_jobs_total{tenant=%q,state=\"computed\"} %d\n", tu.ID, tu.Usage.Computed)
-		fmt.Fprintf(w, "ringsim_tenant_jobs_total{tenant=%q,state=\"cache_hits\"} %d\n", tu.ID, tu.Usage.CacheHits)
-		fmt.Fprintf(w, "ringsim_tenant_jobs_total{tenant=%q,state=\"disk_hits\"} %d\n", tu.ID, tu.Usage.DiskHits)
-		fmt.Fprintf(w, "ringsim_tenant_jobs_total{tenant=%q,state=\"errors\"} %d\n", tu.ID, tu.Usage.Errors)
-	}
-	fmt.Fprintln(w, "# HELP ringsim_tenant_rejected_total Requests refused per tenant, by which limit refused them.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_rejected_total counter")
-	for _, tu := range all {
-		fmt.Fprintf(w, "ringsim_tenant_rejected_total{tenant=%q,reason=\"rate\"} %d\n", tu.ID, tu.Usage.RateLimited)
-		fmt.Fprintf(w, "ringsim_tenant_rejected_total{tenant=%q,reason=\"admission\"} %d\n", tu.ID, tu.Usage.Rejected)
-	}
-	fmt.Fprintln(w, "# HELP ringsim_tenant_simulated_ns_total Simulated nanoseconds computed on each tenant's behalf.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_simulated_ns_total counter")
-	for _, tu := range all {
-		fmt.Fprintf(w, "ringsim_tenant_simulated_ns_total{tenant=%q} %d\n", tu.ID, tu.Usage.SimulatedPS/1000)
-	}
-	fmt.Fprintln(w, "# HELP ringsim_tenant_request_seconds_total Wall clock spent serving each tenant's admitted requests.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_request_seconds_total counter")
-	for _, tu := range all {
-		fmt.Fprintf(w, "ringsim_tenant_request_seconds_total{tenant=%q} %g\n", tu.ID, time.Duration(tu.Usage.WallNS).Seconds())
-	}
-	gauges := s.adm.tenantGauges()
-	fmt.Fprintln(w, "# HELP ringsim_tenant_queue_depth Requests waiting in each tenant's admission flow.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_queue_depth gauge")
-	for _, g := range gauges {
-		fmt.Fprintf(w, "ringsim_tenant_queue_depth{tenant=%q} %d\n", g.id, g.queued)
-	}
-	fmt.Fprintln(w, "# HELP ringsim_tenant_in_flight Requests holding execution slots per tenant.")
-	fmt.Fprintln(w, "# TYPE ringsim_tenant_in_flight gauge")
-	for _, g := range gauges {
-		fmt.Fprintf(w, "ringsim_tenant_in_flight{tenant=%q} %d\n", g.id, g.inflight)
-	}
 }

@@ -187,13 +187,6 @@ func (h *ExpHistogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Buckets returns the finite bucket upper bounds and the per-bucket
-// counts; counts has one extra trailing element, the overflow bucket.
-// Both slices are copies.
-func (h *ExpHistogram) Buckets() (bounds []float64, counts []uint64) {
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
 // Clone returns an independent copy of the histogram.
 func (h *ExpHistogram) Clone() *ExpHistogram {
 	return &ExpHistogram{
