@@ -12,6 +12,7 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -92,6 +93,22 @@ func (c *Config) fill() {
 	}
 }
 
+// Validate reports whether the configuration, zero fields taking the
+// defaults, describes a bus.
+func (c Config) Validate() error {
+	c.fill()
+	if c.Nodes <= 0 {
+		return errors.New("bus: need at least one node")
+	}
+	if c.ClockPS < 0 {
+		return fmt.Errorf("bus: negative clock period %v", c.ClockPS)
+	}
+	if c.WidthBits <= 0 || c.BlockBytes*8%c.WidthBits != 0 {
+		return errors.New("bus: block size must be a whole number of bus words")
+	}
+	return nil
+}
+
 // Geometry holds the derived tenure costs.
 type Geometry struct {
 	Config
@@ -106,13 +123,10 @@ type Geometry struct {
 
 // NewGeometry computes tenure costs, applying defaults to zero fields.
 func NewGeometry(cfg Config) Geometry {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.fill()
-	if cfg.Nodes <= 0 {
-		panic("bus: need at least one node")
-	}
-	if cfg.WidthBits <= 0 || cfg.BlockBytes*8%cfg.WidthBits != 0 {
-		panic("bus: block size must be a whole number of bus words")
-	}
 	data := cfg.BlockBytes * 8 / cfg.WidthBits
 	return Geometry{
 		Config:          cfg,

@@ -10,152 +10,67 @@ package bussnoop
 
 import (
 	"repro/internal/bus"
-	"repro/internal/cache"
+	// The engine reaches the caches only through its node set; importing
+	// the package lets the compiler inline their state transitions.
+	_ "repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-// CacheSupplyTime is the dirty owner's fetch time for a cache-to-cache
-// transfer (see the snoop package for the rationale).
-const CacheSupplyTime = memory.BankTime
-
-// Options configures an Engine.
-type Options struct {
-	// Cache is the per-node cache geometry (zero: paper defaults).
-	Cache cache.Config
-	// PageBytes is the home-placement granularity; default 4096.
-	PageBytes int
-	// Seed drives the random page-to-home placement.
-	Seed uint64
-	// Home, when non-nil, supplies a pre-built page-to-home placement
-	// (e.g. one with private-data hints); PageBytes and Seed are then
-	// ignored.
-	Home *memory.HomeMap
-}
-
-func (o *Options) fill() {
-	if o.PageBytes == 0 {
-		o.PageBytes = 4096
-	}
-}
-
-// blockMeta is the dirty bit and owner kept at the home memory.
-type blockMeta struct {
-	dirty bool
-	owner int
-}
-
 // Engine is a snooping coherence engine over a split-transaction bus.
 type Engine struct {
-	k      *sim.Kernel
-	bus    *bus.Bus
-	caches []*cache.Cache
-	banks  []*memory.Bank
-	home   *memory.HomeMap
-	meta   map[uint64]*blockMeta
-
-	// WriteBacks counts dirty-eviction transfers.
-	WriteBacks uint64
-	wbByNode   []uint64
+	*node.Set
+	bus  *bus.Bus
+	meta memory.DirtyBits
 }
 
-// WriteBacksOf returns the write-backs caused by node's own evictions;
-// the core's per-processor warmup gating reads it.
-func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
-
-// New returns a bus snooping engine over b.
-func New(b *bus.Bus, opts Options) *Engine {
-	opts.fill()
-	k := b.Kernel()
-	n := b.Geo.Nodes
-	e := &Engine{
-		k:      k,
-		bus:    b,
-		caches: make([]*cache.Cache, n),
-		banks:  make([]*memory.Bank, n),
-		home:   homeMapFor(n, opts),
-		meta:   make(map[uint64]*blockMeta),
-	}
-	e.wbByNode = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		e.caches[i] = cache.New(opts.Cache)
-		e.banks[i] = memory.NewBank(k, "mem")
-	}
+// New returns a bus snooping engine over b serving the nodes n.
+func New(b *bus.Bus, n *node.Set) *Engine {
+	e := &Engine{Set: n, bus: b, meta: make(memory.DirtyBits)}
+	n.Bind(e)
 	return e
 }
 
 // Bus returns the underlying split-transaction bus.
 func (e *Engine) Bus() *bus.Bus { return e.bus }
 
-// Cache returns node's cache.
-func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
-
-// HomeMap returns the page-to-home placement.
-func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
-
-func (e *Engine) metaFor(block uint64) *blockMeta {
-	m := e.meta[block]
-	if m == nil {
-		m = &blockMeta{owner: -1}
-		e.meta[block] = m
-	}
-	return m
-}
-
-// Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
-	c := e.caches[node]
-	block := c.BlockAddr(addr)
-	switch c.Lookup(addr, write) {
-	case cache.Hit:
-		done(e.k.Now(), coherence.Result{Hit: true})
-	case cache.MissRead:
-		e.miss(node, block, false, done)
-	case cache.MissWrite:
-		e.miss(node, block, true, done)
-	case cache.Upgrade:
-		e.upgrade(node, block, done)
-	}
-}
-
 // fill installs a block, transferring any dirty victim home.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
-	if v := e.caches[node].Fill(block, st); v.Valid && v.Dirty {
+	if v := e.Fill(node, block, st); v.Valid && v.Dirty {
 		e.writeBack(node, v.Block)
 	}
 }
 
 // writeBack moves a dirty block home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
-	e.WriteBacks++
-	e.wbByNode[node]++
-	h := e.home.Home(block)
+	h := e.Home.Home(block)
 	land := func(sim.Time) {
-		m := e.metaFor(block)
-		if m.dirty && m.owner == node {
-			m.dirty = false
+		m := e.meta.Of(block)
+		if m.Dirty && m.Owner == node {
+			m.Dirty = false
 		}
-		e.banks[h].Access(nil)
+		e.Banks[h].Access(nil)
 	}
 	if h == node {
-		land(e.k.Now())
+		land(e.K.Now())
 		return
 	}
 	e.bus.Transact(node, bus.WriteBack, nil, land)
 }
 
-// miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
-	h := e.home.Home(block)
-	dirtyRemote := m.dirty && m.owner != node
+// Miss services a read or write miss.
+func (e *Engine) Miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+	m := e.meta.Of(block)
+	h := e.Home.Home(block)
+	dirtyRemote := m.Dirty && m.Owner != node
 
 	// A read miss on a clean block homed here never touches the bus.
 	if h == node && !dirtyRemote && !write {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			e.fill(node, block, coherence.ReadShared)
-			done(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
+			done(e.K.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
 		})
 		return
 	}
@@ -171,16 +86,16 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	}
 	responder := h
 	if dirtyRemote {
-		responder = m.owner
+		responder = m.Owner
 	}
 
 	// Address tenure: broadcast and snooped.
 	e.bus.Transact(node, bus.Request,
 		func(snooper int, _ sim.Time) {
 			if write {
-				e.caches[snooper].Invalidate(block)
+				e.Caches[snooper].Invalidate(block)
 			} else if snooper == responder && dirtyRemote {
-				e.caches[snooper].Downgrade(block)
+				e.Caches[snooper].Downgrade(block)
 			}
 		},
 		func(sim.Time) {
@@ -192,55 +107,34 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 						st = coherence.WriteExclusive
 					}
 					e.fill(node, block, st)
-					mm := e.metaFor(block)
+					mm := e.meta.Of(block)
 					if write {
-						mm.dirty = true
-						mm.owner = node
+						mm.Dirty = true
+						mm.Owner = node
 					} else if dirtyRemote {
-						mm.dirty = false
+						mm.Dirty = false
 					}
 					done(at, coherence.Result{Txn: txn})
 				})
 			}
-			if dirtyRemote {
-				e.k.After(CacheSupplyTime, deliver)
-			} else {
-				e.banks[responder].Access(deliver)
-			}
+			e.Fetch(responder, dirtyRemote, deliver)
 		})
 }
 
-// upgrade services an invalidation: the address tenure alone grants
+// Upgrade services an invalidation: the address tenure alone grants
 // write permission once every snooper has seen it.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+func (e *Engine) Upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
 	e.bus.Transact(node, bus.Request,
 		func(snooper int, _ sim.Time) {
-			e.caches[snooper].Invalidate(block)
+			e.Caches[snooper].Invalidate(block)
 		},
 		func(at sim.Time) {
-			if !e.caches[node].Upgrade(block) {
+			if !e.Caches[node].Upgrade(block) {
 				e.fill(node, block, coherence.WriteExclusive)
 			}
-			m := e.metaFor(block)
-			m.dirty = true
-			m.owner = node
+			m := e.meta.Of(block)
+			m.Dirty = true
+			m.Owner = node
 			done(at, coherence.Result{Txn: coherence.Invalidation})
 		})
-}
-
-// homeMapFor returns the configured home map, or builds the default
-// seeded-random page placement.
-func homeMapFor(n int, opts Options) *memory.HomeMap {
-	if opts.Home != nil {
-		return opts.Home
-	}
-	return memory.NewHomeMap(n, opts.PageBytes, sim.NewRand(opts.Seed))
-}
-
-// HasBlock reports whether node currently caches the block containing
-// addr in a readable state (RS or WE). The core's write-buffer model
-// uses it to decide whether a load can bypass an outstanding store.
-func (e *Engine) HasBlock(node int, addr uint64) bool {
-	c := e.caches[node]
-	return c.State(c.BlockAddr(addr)) != coherence.Invalid
 }

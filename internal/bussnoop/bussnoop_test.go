@@ -4,16 +4,24 @@ import (
 	"testing"
 
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/sim"
 )
+
+// machine returns the n nodes of a whole machine with the paper's
+// caches and a seeded random page placement.
+func machine(k *sim.Kernel, n int, seed uint64) *node.Set {
+	return node.New(k, memory.NewHomeMap(n, 4096, sim.NewRand(seed)), cache.Config{}, 0, n)
+}
 
 func testEngine(t *testing.T) (*sim.Kernel, *Engine) {
 	t.Helper()
 	k := sim.NewKernel()
 	b := bus.New(k, bus.Config{Nodes: 4}) // 50 MHz, 64-bit
-	return k, New(b, Options{Seed: 1})
+	return k, New(b, machine(k, 4, 1))
 }
 
 func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (coherence.Result, sim.Time) {
@@ -33,7 +41,7 @@ func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (cohere
 
 func TestHit(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 1)
+	e.Home.Place(0x1000, 1)
 	access(k, e, 0, 0x1000, false)
 	res, lat := access(k, e, 0, 0x1000, false)
 	if !res.Hit || lat != 0 {
@@ -43,7 +51,7 @@ func TestHit(t *testing.T) {
 
 func TestRemoteCleanMissCostsSixCyclesPlusMemory(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 2)
+	e.Home.Place(0x1000, 2)
 	res, lat := access(k, e, 0, 0x1000, false)
 	if res.Txn != coherence.ReadMissClean || res.Local {
 		t.Fatalf("res = %+v, want remote clean miss", res)
@@ -58,7 +66,7 @@ func TestRemoteCleanMissCostsSixCyclesPlusMemory(t *testing.T) {
 
 func TestLocalCleanReadMissSkipsBus(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x2000, 3)
+	e.Home.Place(0x2000, 3)
 	res, lat := access(k, e, 3, 0x2000, false)
 	if !res.Local {
 		t.Fatalf("res = %+v, want local", res)
@@ -73,7 +81,7 @@ func TestLocalCleanReadMissSkipsBus(t *testing.T) {
 
 func TestWriteMissInvalidatesSnoopers(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x3000, 1)
+	e.Home.Place(0x3000, 1)
 	access(k, e, 0, 0x3000, false)
 	access(k, e, 2, 0x3000, false)
 	res, _ := access(k, e, 3, 0x3000, true)
@@ -81,28 +89,28 @@ func TestWriteMissInvalidatesSnoopers(t *testing.T) {
 		t.Fatalf("txn = %v, want write-miss-clean", res.Txn)
 	}
 	for _, n := range []int{0, 2} {
-		if e.Cache(n).State(0x3000) != coherence.Invalid {
+		if e.Caches[n].State(0x3000) != coherence.Invalid {
 			t.Fatalf("sharer %d survived write miss", n)
 		}
 	}
-	if e.Cache(3).State(0x3000) != coherence.WriteExclusive {
+	if e.Caches[3].State(0x3000) != coherence.WriteExclusive {
 		t.Fatal("writer not WE")
 	}
 }
 
 func TestDirtyMissSuppliedByOwner(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x4000, 1)
+	e.Home.Place(0x4000, 1)
 	access(k, e, 2, 0x4000, true)
 	res, lat := access(k, e, 0, 0x4000, false)
 	if res.Txn != coherence.ReadMissDirty {
 		t.Fatalf("txn = %v, want read-miss-dirty", res.Txn)
 	}
-	if e.Cache(2).State(0x4000) != coherence.ReadShared {
+	if e.Caches[2].State(0x4000) != coherence.ReadShared {
 		t.Fatal("owner did not downgrade")
 	}
 	// Cache supply replaces the memory access; same unloaded total.
-	want := 2*20*sim.Nanosecond + CacheSupplyTime + 4*20*sim.Nanosecond
+	want := 2*20*sim.Nanosecond + node.CacheSupplyTime + 4*20*sim.Nanosecond
 	if lat != want {
 		t.Fatalf("latency = %v, want %v", lat, want)
 	}
@@ -110,7 +118,7 @@ func TestDirtyMissSuppliedByOwner(t *testing.T) {
 
 func TestUpgradeCompletesAtRequestTenure(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x5000, 1)
+	e.Home.Place(0x5000, 1)
 	access(k, e, 0, 0x5000, false)
 	access(k, e, 2, 0x5000, false)
 	res, lat := access(k, e, 0, 0x5000, true)
@@ -120,7 +128,7 @@ func TestUpgradeCompletesAtRequestTenure(t *testing.T) {
 	if lat != 2*20*sim.Nanosecond {
 		t.Fatalf("upgrade latency = %v, want one request tenure (40ns)", lat)
 	}
-	if e.Cache(2).State(0x5000) != coherence.Invalid {
+	if e.Caches[2].State(0x5000) != coherence.Invalid {
 		t.Fatal("sharer survived upgrade")
 	}
 }
@@ -128,13 +136,13 @@ func TestUpgradeCompletesAtRequestTenure(t *testing.T) {
 func TestDirtyEvictionUsesWriteBackTenure(t *testing.T) {
 	k, e := testEngine(t)
 	const a, b = 0x1_0000_0000, 0x1_0002_0000
-	e.HomeMap().Place(a, 1)
-	e.HomeMap().Place(b, 1)
+	e.Home.Place(a, 1)
+	e.Home.Place(b, 1)
 	access(k, e, 0, a, true)
 	access(k, e, 0, b, false)
 	k.Run()
-	if e.WriteBacks != 1 {
-		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacks)
+	if e.WriteBacksOf(0) != 1 {
+		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacksOf(0))
 	}
 	if e.Bus().Tenures(bus.WriteBack) != 1 {
 		t.Fatalf("WriteBack tenures = %d, want 1", e.Bus().Tenures(bus.WriteBack))
@@ -147,8 +155,8 @@ func TestDirtyEvictionUsesWriteBackTenure(t *testing.T) {
 
 func TestBusContentionSerializesMisses(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x6000, 1)
-	e.HomeMap().Place(0x7000, 1)
+	e.Home.Place(0x6000, 1)
+	e.Home.Place(0x7000, 1)
 	var done []sim.Time
 	k.At(0, func() {
 		e.Access(0, 0x6000, false, func(at sim.Time, _ coherence.Result) { done = append(done, at) })
@@ -169,7 +177,7 @@ func TestBusContentionSerializesMisses(t *testing.T) {
 func TestConsistencyUnderRandomTraffic(t *testing.T) {
 	k := sim.NewKernel()
 	b := bus.New(k, bus.Config{Nodes: 8})
-	e := New(b, Options{Seed: 5})
+	e := New(b, machine(k, 8, 5))
 	rng := sim.NewRand(77)
 	blocks := []uint64{0x1000, 0x2000, 0x3000, 0x4000}
 	for i := 0; i < 300; i++ {
@@ -181,7 +189,7 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 		for _, blk := range blocks {
 			writers, holders := 0, 0
 			for n := 0; n < 8; n++ {
-				switch e.Cache(n).State(blk) {
+				switch e.Caches[n].State(blk) {
 				case coherence.WriteExclusive:
 					writers++
 					holders++

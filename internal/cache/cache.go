@@ -6,11 +6,11 @@
 // The cache is a passive structure — protocol engines drive all state
 // transitions. Lookup/Probe report what an access would do; the engine
 // then applies Fill/Invalidate/Downgrade/Upgrade as the protocol
-// dictates, so the same cache serves the ring snooping, ring directory,
-// SCI linked-list and bus snooping engines.
+// dictates, so the same cache serves every engine.
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -36,21 +36,24 @@ func (c *Config) fill() {
 	}
 }
 
-// validate panics on geometry errors; configuration is programmer input.
-func (c Config) validate() {
+// Validate reports whether the geometry, zero fields taking the
+// paper's defaults, is one a direct-mapped cache can have.
+func (c Config) Validate() error {
+	c.fill()
 	if c.SizeBytes <= 0 || c.BlockBytes <= 0 {
-		panic("cache: non-positive geometry")
+		return errors.New("cache: non-positive geometry")
 	}
 	if c.SizeBytes%c.BlockBytes != 0 {
-		panic("cache: size not a multiple of block size")
+		return errors.New("cache: size not a multiple of block size")
 	}
 	if c.BlockBytes&(c.BlockBytes-1) != 0 {
-		panic("cache: block size must be a power of two")
+		return errors.New("cache: block size must be a power of two")
 	}
 	sets := c.SizeBytes / c.BlockBytes
 	if sets&(sets-1) != 0 {
-		panic("cache: set count must be a power of two")
+		return errors.New("cache: set count must be a power of two")
 	}
+	return nil
 }
 
 // line is one direct-mapped frame.
@@ -75,8 +78,10 @@ type Cache struct {
 // New returns a cache with the given geometry (zero fields take the
 // paper's defaults).
 func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.fill()
-	cfg.validate()
 	sets := cfg.SizeBytes / cfg.BlockBytes
 	c := &Cache{
 		cfg:     cfg,

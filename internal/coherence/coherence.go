@@ -1,4 +1,4 @@
-// Package coherence defines the vocabulary shared by all four protocol
+// Package coherence defines the vocabulary shared by all five protocol
 // engines: cache block states, the taxonomy of coherence transactions,
 // message kinds and sizes, and the latency-sample classification used
 // for the paper's Figure 5 miss breakdown and Table 1 traversal counts.

@@ -1,7 +1,7 @@
 // Package core assembles complete simulated multiprocessors: N
 // single-issue processors (one instruction per cycle on hits, blocking
 // on misses and invalidations, instruction fetches never missing — the
-// paper's Section 4.1 processor model) driving one of the four
+// paper's Section 4.1 processor model) driving one of the five
 // coherence engines over a slotted ring or a split-transaction bus.
 // Running a system produces the Metrics the paper reports — processor
 // utilization, network utilization, miss latency — plus the event
@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bus"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/hier"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/scilist"
@@ -28,15 +30,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Engine is the coherence-engine interface satisfied by all four
-// protocol implementations.
-type Engine interface {
-	Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result))
-	// HasBlock reports whether node caches the block containing addr in
-	// a readable state; the write-buffer model uses it for load
-	// bypassing.
-	HasBlock(node int, addr uint64) bool
-}
+// Engine is a coherence engine: the miss and upgrade entry points the
+// node set hands a reference to when the cache cannot serve it. All
+// five protocol implementations satisfy it.
+type Engine = node.Engine
 
 // Compile-time checks that every engine satisfies the interface.
 var (
@@ -140,6 +137,66 @@ type Config struct {
 	// loudly (Metrics.Parallel.Fallback) otherwise. Only the Run entry
 	// point consults it; System always executes sequentially.
 	Parallel int
+}
+
+// Validate reports the first shape rule cfg breaks on a machine of
+// nodes processors; NewSystem panics on the same shapes. Each rule
+// lives in the layer that owns it (cache geometry, page placement,
+// ring and bus layout, cluster split); Validate asks the layers the
+// protocol builds.
+func (cfg Config) Validate(nodes int) error {
+	if cfg.ProcCycle < 0 {
+		return fmt.Errorf("core: negative processor cycle %v", cfg.ProcCycle)
+	}
+	if err := cfg.Cache.Validate(); err != nil {
+		return err
+	}
+	if err := memory.CheckPageBytes(cfg.pageBytes()); err != nil {
+		return err
+	}
+	if cfg.Ring.Segments != 0 {
+		if cfg.Protocol != DirectoryRing {
+			return fmt.Errorf("core: ring segments require the directory protocol, not %v", cfg.Protocol)
+		}
+		if cfg.Trace.Enabled() {
+			return errors.New("core: tracing is unsupported with the segmented ring (Ring.Segments >= 2)")
+		}
+	}
+	switch cfg.Protocol {
+	case SnoopRing, DirectoryRing, SCIRing:
+		rc := cfg.Ring
+		rc.Nodes = nodes
+		return rc.Validate()
+	case SnoopBus:
+		bc := cfg.Bus
+		bc.Nodes = nodes
+		return bc.Validate()
+	case HierRing:
+		if err := hier.CheckClusters(nodes, cfg.clusters()); err != nil {
+			return err
+		}
+		rc := cfg.Ring
+		rc.Nodes = cfg.clusters() // the global ring; local rings differ only in Nodes
+		return rc.Validate()
+	default:
+		return fmt.Errorf("core: unknown protocol %v", cfg.Protocol)
+	}
+}
+
+// pageBytes is the home-placement granularity, 4096 by default.
+func (cfg Config) pageBytes() int {
+	if cfg.PageBytes == 0 {
+		return 4096
+	}
+	return cfg.PageBytes
+}
+
+// clusters is the HierRing cluster count, 4 by default.
+func (cfg Config) clusters() int {
+	if cfg.Clusters == 0 {
+		return 4
+	}
+	return cfg.Clusters
 }
 
 // Metrics aggregates one run's results.
@@ -277,6 +334,7 @@ type System struct {
 	cfg    Config
 	k      *sim.Kernel
 	src    workload.Source
+	nodes  *node.Set
 	engine Engine
 	ring   *ring.Ring
 	bus    *bus.Bus
@@ -415,8 +473,8 @@ func NewSystem(cfg Config, src workload.Source) *System {
 // parallel runner builds one domain per partition, each on its own
 // kernel shard. A domain still models the full machine's geometry (ring,
 // home placement) so node ids and addresses mean the same thing
-// everywhere, but it drives — and for the directory engine, allocates —
-// only its own nodes.
+// everywhere, but it drives — and builds caches and banks for — only
+// its own nodes.
 //
 // segs, non-nil only for segmented-interconnect partitioned runs, is
 // this domain's pre-built (and pre-linked across shard boundaries)
@@ -430,6 +488,9 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		cfg.WriteBufferDepth = 8
 	}
 	n := src.NumCPUs()
+	if err := cfg.Validate(n); err != nil {
+		panic(err)
+	}
 	s := &System{cfg: cfg, k: k, src: src, lo: lo, hi: hi}
 	s.m.ClassCount = make(map[coherence.MissClass]uint64)
 	s.m.MissTraversals = stats.NewDistribution()
@@ -437,10 +498,7 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 
 	// Shared pages are placed randomly across homes (the paper's OS
 	// model); private data and code are homed at the issuing node.
-	pageBytes := cfg.PageBytes
-	if pageBytes == 0 {
-		pageBytes = 4096
-	}
+	pageBytes := cfg.pageBytes()
 	home := memory.NewHomeMap(n, pageBytes, sim.NewRand(cfg.Seed))
 	if cfg.Protocol == DirectoryRing && cfg.Ring.Segments != 0 {
 		// The segmented interconnect's partitioned runs build one home
@@ -451,6 +509,7 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		home = memory.NewHashedHomeMap(n, pageBytes, cfg.Seed)
 	}
 	home.SetHint(workload.HomeHint)
+	s.nodes = node.New(k, home, cfg.Cache, lo, hi)
 
 	s.tracer = obs.New(cfg.Trace, n)
 
@@ -458,17 +517,11 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 	case SnoopRing, DirectoryRing, SCIRing:
 		rc := cfg.Ring
 		rc.Nodes = n
-		if rc.Segments != 0 && cfg.Protocol != DirectoryRing {
-			panic(fmt.Sprintf("core: ring segments require the directory protocol, not %v", cfg.Protocol))
-		}
 		var nets []directory.Interconnect
 		if rc.Segments != 0 {
 			// The segmented interconnect: per-segment injection and
 			// boundary-link serialization, the model whose boundary hop
 			// is the parallel kernel's lookahead.
-			if cfg.Trace.Enabled() {
-				panic("core: tracing is unsupported with the segmented ring (Ring.Segments >= 2)")
-			}
 			if segs == nil {
 				segs = ring.NewSegmentedChain(k, rc)
 			}
@@ -484,15 +537,11 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		r := s.ring
 		switch cfg.Protocol {
 		case SnoopRing:
-			s.engine = snoop.New(r, snoop.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer})
+			s.engine = snoop.New(r, s.nodes, s.tracer)
 		case DirectoryRing:
-			// A partition domain allocates caches and banks only for the
-			// nodes it owns. Touching a foreign node then fails fast on
-			// a nil cache instead of corrupting a peer domain's twin.
-			s.engine = directory.New(nets, directory.Options{
-				Cache: cfg.Cache, Home: home, Tracer: s.tracer, NodeLo: lo, NodeHi: hi})
+			s.engine = directory.New(nets, s.nodes, s.tracer)
 		case SCIRing:
-			s.engine = scilist.New(r, scilist.Options{Cache: cfg.Cache, Home: home})
+			s.engine = scilist.New(r, s.nodes)
 		}
 		if s.tracer != nil {
 			// One occupancy track per slot class, fed from the ring's
@@ -511,7 +560,7 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		bc.Nodes = n
 		b := bus.New(k, bc)
 		s.bus = b
-		s.engine = bussnoop.New(b, bussnoop.Options{Cache: cfg.Cache, Home: home})
+		s.engine = bussnoop.New(b, s.nodes)
 		if s.tracer != nil {
 			// One occupancy track per tenure kind; the bus is a single
 			// shared resource, so each track has one "slot".
@@ -524,18 +573,7 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 			}
 		}
 	case HierRing:
-		clusters := cfg.Clusters
-		if clusters == 0 {
-			clusters = 4
-		}
-		s.engine = hier.New(k, n, hier.Options{
-			Clusters: clusters,
-			Ring:     cfg.Ring,
-			Cache:    cfg.Cache,
-			Home:     home,
-		})
-	default:
-		panic(fmt.Sprintf("core: unknown protocol %v", cfg.Protocol))
+		s.engine = hier.New(s.nodes, hier.Options{Clusters: cfg.clusters(), Ring: cfg.Ring})
 	}
 
 	s.blockBytes = cfg.Cache.BlockBytes
@@ -574,7 +612,7 @@ func (s *System) crossWarmup(p *proc) {
 	p.warm = true
 	p.busy = 0
 	p.stall = 0
-	p.wbBase = s.writeBacksOf(p.id)
+	p.wbBase = s.nodes.WriteBacksOf(p.id)
 	s.warmed++
 	s.tracer.SetWarm(p.id)
 	if s.segs != nil {
@@ -602,11 +640,6 @@ func (s *System) crossWarmup(p *proc) {
 			rs.ResetNetStats()
 		}
 	}
-}
-
-// writeBacksOf reads node's eviction write-back count from the engine.
-func (s *System) writeBacksOf(node int) uint64 {
-	return s.engine.(interface{ WriteBacksOf(int) uint64 }).WriteBacksOf(node)
 }
 
 // Kernel returns the simulation kernel (tests and tools).
@@ -673,7 +706,7 @@ func (s *System) collect() {
 	}
 	var wb uint64
 	for _, p := range s.procs {
-		wb += s.writeBacksOf(p.id) - p.wbBase
+		wb += s.nodes.WriteBacksOf(p.id) - p.wbBase
 	}
 	s.m.WriteBacks = wb
 	s.m.EventsFired = s.k.Fired()
@@ -769,7 +802,7 @@ func (p *proc) OnEvent(at sim.Time) {
 	p.start = at
 	if s.cfg.NonBlockingStores {
 		block := r.Addr &^ uint64(s.blockBytes-1)
-		if p.pendingBlocks[block] && !write && !s.engine.HasBlock(p.id, r.Addr) {
+		if p.pendingBlocks[block] && !write && !s.nodes.HasBlock(p.id, r.Addr) {
 			// The block's data is absent and already being acquired by
 			// a buffered store: merge into it (MSHR semantics) rather
 			// than duplicating the miss. A load during an in-flight
@@ -795,7 +828,7 @@ func (p *proc) OnEvent(at sim.Time) {
 		if !p.pendingBlocks[block] {
 			p.pendingStores++
 			p.pendingBlocks[block] = true
-			s.engine.Access(p.id, r.Addr, true, func(at sim.Time, res coherence.Result) {
+			s.nodes.Access(p.id, r.Addr, true, func(at sim.Time, res coherence.Result) {
 				s.recordNonBlocking(p, r, at-start, res)
 				p.pendingStores--
 				delete(p.pendingBlocks, block)
@@ -816,7 +849,7 @@ func (p *proc) OnEvent(at sim.Time) {
 		s.advance(p)
 		return
 	}
-	s.engine.Access(p.id, r.Addr, write, p.accessDone)
+	s.nodes.Access(p.id, r.Addr, write, p.accessDone)
 }
 
 // finishProc retires one processor and folds its times into the run

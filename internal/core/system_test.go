@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -120,26 +122,48 @@ func TestUpgradeCountedSeparately(t *testing.T) {
 	}
 }
 
-func TestAllFourProtocolsRunRealWorkload(t *testing.T) {
+// TestAllProtocolsRunRealWorkload drives every engine through the
+// core — the directory on the classic and on the segmented ring — at
+// the paper's cache and at a 4 KB one, where dirty evictions are
+// certain and every engine must count its write-backs.
+func TestAllProtocolsRunRealWorkload(t *testing.T) {
 	prof := workload.MustProfile("MP3D", 8)
-	for _, p := range []Protocol{SnoopRing, DirectoryRing, SCIRing, SnoopBus} {
-		gen := workload.NewGenerator(workload.Config{Profile: prof, DataRefsPerCPU: 800, Seed: 42})
-		s := NewSystem(Config{Protocol: p, Seed: 5}, gen)
-		m := s.Run()
-		if m.ExecTime <= 0 {
-			t.Fatalf("%v: no execution time", p)
-		}
-		if m.DataRefs != 800*8 {
-			t.Fatalf("%v: data refs = %d, want 6400", p, m.DataRefs)
-		}
-		if u := m.ProcUtil(); u <= 0 || u > 1 {
-			t.Fatalf("%v: ProcUtil = %v out of (0,1]", p, u)
-		}
-		if m.NetworkUtil < 0 || m.NetworkUtil > 1 {
-			t.Fatalf("%v: NetworkUtil = %v out of [0,1]", p, m.NetworkUtil)
-		}
-		if m.SharedMisses == 0 {
-			t.Fatalf("%v: workload produced no shared misses", p)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"snoop-ring", Config{Protocol: SnoopRing}},
+		{"directory-ring", Config{Protocol: DirectoryRing}},
+		{"directory-ring/4 segments", Config{Protocol: DirectoryRing, Ring: ring.Config{Segments: 4}}},
+		{"sci-ring", Config{Protocol: SCIRing}},
+		{"snoop-bus", Config{Protocol: SnoopBus}},
+		{"hier-ring", Config{Protocol: HierRing, Clusters: 2}},
+	} {
+		for _, size := range []int{0, 4 << 10} {
+			cfg := c.cfg
+			cfg.Seed = 5
+			cfg.Cache.SizeBytes = size
+			gen := workload.NewGenerator(workload.Config{Profile: prof, DataRefsPerCPU: 800, Seed: 42})
+			m := NewSystem(cfg, gen).Run()
+			p := fmt.Sprintf("%s, %d-byte cache", c.name, size)
+			if m.ExecTime <= 0 {
+				t.Fatalf("%s: no execution time", p)
+			}
+			if m.DataRefs != 800*8 {
+				t.Fatalf("%s: data refs = %d, want 6400", p, m.DataRefs)
+			}
+			if u := m.ProcUtil(); u <= 0 || u > 1 {
+				t.Fatalf("%s: ProcUtil = %v out of (0,1]", p, u)
+			}
+			if m.NetworkUtil < 0 || m.NetworkUtil > 1 {
+				t.Fatalf("%s: NetworkUtil = %v out of [0,1]", p, m.NetworkUtil)
+			}
+			if m.SharedMisses == 0 {
+				t.Fatalf("%s: workload produced no shared misses", p)
+			}
+			if size != 0 && m.WriteBacks == 0 {
+				t.Fatalf("%s: no write-backs", p)
+			}
 		}
 	}
 }

@@ -56,23 +56,21 @@ package directory
 import (
 	"fmt"
 
-	"repro/internal/cache"
+	// The engine reaches the caches only through its node set; importing
+	// the package lets the compiler inline their state transitions.
+	_ "repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
-// CacheSupplyTime is the dirty owner's cache fetch time for a
-// cache-to-cache transfer (see the snoop package for the rationale).
-const CacheSupplyTime = memory.BankTime
-
 // Interconnect is a transport the engine sends its messages over: the
 // classic slotted ring, or one segment of the segmented ring. It
 // reports the messages it carries to its Client.
 type Interconnect interface {
-	Kernel() *sim.Kernel
 	Geometry() *ring.Geometry
 	SetClient(c ring.Client)
 	SendPayload(src, dst int, class ring.SlotClass, p ring.Payload) sim.Time
@@ -82,38 +80,6 @@ var (
 	_ Interconnect = (*ring.Ring)(nil)
 	_ Interconnect = (*ring.SegRing)(nil)
 )
-
-// Options configures an Engine.
-type Options struct {
-	// Cache is the per-node cache geometry (zero: paper defaults).
-	Cache cache.Config
-	// PageBytes is the home-placement granularity; default 4096.
-	PageBytes int
-	// Seed drives the random page-to-home placement.
-	Seed uint64
-	// Home, when non-nil, supplies a pre-built page-to-home placement
-	// (e.g. one with private-data hints); PageBytes and Seed are then
-	// ignored.
-	Home *memory.HomeMap
-	// Tracer, when non-nil, records coherence transactions as obs
-	// spans with phase annotations. It needs the classic ring and the
-	// whole node range.
-	Tracer *obs.Tracer
-	// NodeLo/NodeHi, when NodeHi > 0, restrict the engine to nodes in
-	// [NodeLo, NodeHi): only their caches and banks are allocated, and
-	// the interconnects must carry their sends. The parallel
-	// partitioner builds one such engine per domain — a node-range
-	// engine that somehow touches a node outside its range hits a nil
-	// cache or bank immediately instead of silently corrupting a peer
-	// partition's state. Zero values mean all nodes.
-	NodeLo, NodeHi int
-}
-
-func (o *Options) fill() {
-	if o.PageBytes == 0 {
-		o.PageBytes = 4096
-	}
-}
 
 // Message kinds, carried in ring.Payload.Kind.
 const (
@@ -158,103 +124,51 @@ type pending struct {
 }
 
 // Engine is a full-map directory coherence engine. One engine serves
-// the node range its options name; a sequential run uses one engine
-// over the whole machine, a partitioned run one engine per domain.
+// the nodes of its node set; a sequential run uses one engine over the
+// whole machine, a partitioned run one engine per domain.
 type Engine struct {
-	k      *sim.Kernel
-	geo    *ring.Geometry
-	nets   []Interconnect
-	seg0   int // segment of nets[0]; 0 on the classic ring
-	caches []*cache.Cache
-	banks  []*memory.Bank
-	home   *memory.HomeMap
-	dir    *memory.Directory
-	tr     *obs.Tracer
+	*node.Set
+	geo  *ring.Geometry
+	nets []Interconnect
+	seg0 int // segment of nets[0]; 0 on the classic ring
+	dir  *memory.Directory
+	tr   *obs.Tracer
 	// pend[n] holds node n's outstanding requests, indexed by the tag
 	// their messages carry.
 	pend [][]pending
-
-	// WriteBacks counts dirty-eviction block messages.
-	WriteBacks uint64
-	wbByNode   []uint64
 }
 
-// New returns a directory engine over nets: one classic ring, or the
-// (already linked) segments of the segmented ring that carry the
-// engine's nodes, in ring order.
-func New(nets []Interconnect, opts Options) *Engine {
-	opts.fill()
+// New returns a directory engine serving the nodes n over nets: one
+// classic ring, or the (already linked) segments of the segmented ring
+// that carry n's nodes, in ring order. tr, when non-nil, records
+// coherence transactions as obs spans with phase annotations; it needs
+// the classic ring and the whole machine.
+func New(nets []Interconnect, n *node.Set, tr *obs.Tracer) *Engine {
 	if len(nets) == 0 {
 		panic("directory: New needs an interconnect")
 	}
 	g := nets[0].Geometry()
-	n := g.Nodes
-	lo, hi := 0, n
-	if opts.NodeHi > 0 {
-		lo, hi = opts.NodeLo, opts.NodeHi
-	}
-	if opts.Tracer != nil && (g.Segments != 0 || lo != 0 || hi != n) {
+	if tr != nil && (g.Segments != 0 || !n.Whole()) {
 		panic("directory: tracing needs the classic ring and the whole node range")
 	}
 	e := &Engine{
-		k:        nets[0].Kernel(),
-		geo:      g,
-		nets:     nets,
-		seg0:     g.SegOf(lo),
-		caches:   make([]*cache.Cache, n),
-		banks:    make([]*memory.Bank, n),
-		home:     homeMapFor(n, opts),
-		dir:      memory.NewDirectory(),
-		tr:       opts.Tracer,
-		pend:     make([][]pending, n),
-		wbByNode: make([]uint64, n),
-	}
-	for i := lo; i < hi; i++ {
-		e.caches[i] = cache.New(opts.Cache)
-		e.banks[i] = memory.NewBank(e.k, "mem")
+		Set:  n,
+		geo:  g,
+		nets: nets,
+		seg0: g.SegOf(n.Lo),
+		dir:  memory.NewDirectory(),
+		tr:   tr,
+		pend: make([][]pending, g.Nodes),
 	}
 	for _, net := range nets {
 		net.SetClient(e)
 	}
+	n.Bind(e)
 	return e
 }
 
-// WriteBacksOf returns the write-backs caused by node's own evictions;
-// the core's per-processor warmup gating reads it.
-func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
-
-// Cache returns node's cache.
-func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
-
-// HomeMap returns the page-to-home placement.
-func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
-
 // Directory exposes the shared directory store (tests only).
 func (e *Engine) Directory() *memory.Directory { return e.dir }
-
-// HasBlock reports whether node currently caches the block containing
-// addr in a readable state (RS or WE). The core's write-buffer model
-// uses it to decide whether a load can bypass an outstanding store.
-func (e *Engine) HasBlock(node int, addr uint64) bool {
-	c := e.caches[node]
-	return c.State(c.BlockAddr(addr)) != coherence.Invalid
-}
-
-// Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
-	c := e.caches[node]
-	block := c.BlockAddr(addr)
-	switch c.Lookup(addr, write) {
-	case cache.Hit:
-		done(e.k.Now(), coherence.Result{Hit: true})
-	case cache.MissRead:
-		e.miss(node, block, false, done)
-	case cache.MissWrite:
-		e.miss(node, block, true, done)
-	case cache.Upgrade:
-		e.upgrade(node, block, done)
-	}
-}
 
 // send injects p at src on the interconnect that carries src.
 func (e *Engine) send(src, dst int, class ring.SlotClass, p ring.Payload) sim.Time {
@@ -309,7 +223,7 @@ func (e *Engine) spanOf(node int, tag uint16) obs.Span {
 
 // fill installs a block, sending a write-back for any dirty victim.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
-	if v := e.caches[node].Fill(block, st); v.Valid && v.Dirty {
+	if v := e.Fill(node, block, st); v.Valid && v.Dirty {
 		if DebugEvict != nil {
 			DebugEvict(node, block, v.Block)
 		}
@@ -332,15 +246,13 @@ var DebugMiss func(block uint64, sharers int, dirty bool, owner, node int, write
 
 // writeBack returns a dirty block to its home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
-	e.WriteBacks++
-	e.wbByNode[node]++
-	sp := e.tr.Begin(node, e.k.Now())
-	h := e.home.Home(block)
+	sp := e.tr.Begin(node, e.K.Now())
+	h := e.Home.Home(block)
 	if h == node {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			e.dir.Line(block).RemoveSharer(node) // also clears the dirty bit if owner
 		})
-		sp.End(e.k.Now(), coherence.WriteBack)
+		sp.End(e.K.Now(), coherence.WriteBack)
 		return
 	}
 	grab := e.send(node, h, ring.BlockSlot, ring.Payload{Kind: pkWB, X: int32(node), A: block})
@@ -384,10 +296,10 @@ func sharedElsewhere(ln *memory.Line, requester, home int) bool {
 	return false
 }
 
-// miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
-	sp := e.tr.Begin(node, e.k.Now())
+// Miss services a read or write miss.
+func (e *Engine) Miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+	h := e.Home.Home(block)
+	sp := e.tr.Begin(node, e.K.Now())
 	if h == node {
 		e.localMiss(node, block, write, sp, done)
 		return
@@ -401,7 +313,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 
 // localMiss handles a miss whose home is the requesting node.
 func (e *Engine) localMiss(node int, block uint64, write bool, sp obs.Span, done func(sim.Time, coherence.Result)) {
-	e.banks[node].Access(func() {
+	e.Banks[node].Access(func() {
 		ln := e.dir.Line(block)
 		switch {
 		case ln.Dirty && ln.Owner != node:
@@ -440,7 +352,7 @@ func (e *Engine) localMiss(node int, block uint64, write bool, sp obs.Span, done
 				ln.AddSharer(node)
 			}
 			e.fill(node, block, st)
-			now := e.k.Now()
+			now := e.K.Now()
 			sp.Mark(obs.PhaseData, now)
 			sp.End(now, txn)
 			done(now, coherence.Result{Txn: txn, Local: true})
@@ -480,7 +392,7 @@ func (e *Engine) atHome(node int, tag uint16, h int, block uint64, write bool) {
 	case write && sharedElsewhere(ln, node, h):
 		// Multicast invalidation, then respond: two traversals total.
 		// The home's own copy (if any) dies too.
-		e.caches[h].Invalidate(block)
+		e.Caches[h].Invalidate(block)
 		ln.SetDirty(node)
 		resp.Kind, resp.B = pkInvalSend, encodeRes(coherence.WriteMissClean, coherence.TwoCycle, 2)
 		e.probe(h, ring.Broadcast, resp)
@@ -493,13 +405,13 @@ func (e *Engine) atHome(node int, tag uint16, h int, block uint64, write bool) {
 			txn = coherence.ReadMissDirty
 			if write {
 				txn = coherence.WriteMissDirty
-				e.caches[h].Invalidate(block)
+				e.Caches[h].Invalidate(block)
 			} else {
-				e.caches[h].Downgrade(block)
+				e.Caches[h].Downgrade(block)
 			}
 		} else if write {
 			txn = coherence.WriteMissClean
-			e.caches[h].Invalidate(block)
+			e.Caches[h].Invalidate(block)
 		}
 		if write {
 			ln.SetDirty(node)
@@ -516,19 +428,19 @@ func (e *Engine) atHome(node int, tag uint16, h int, block uint64, write bool) {
 	}
 }
 
-// upgrade services an invalidation request: the requester holds RS and
+// Upgrade services an invalidation request: the requester holds RS and
 // asks the home for write permission.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
-	sp := e.tr.Begin(node, e.k.Now())
+func (e *Engine) Upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+	h := e.Home.Home(block)
+	sp := e.tr.Begin(node, e.K.Now())
 	if h == node {
-		e.banks[h].Access(func() {
-			sp.Mark(obs.PhaseAck, e.k.Now())
+		e.Banks[h].Access(func() {
+			sp.Mark(obs.PhaseAck, e.K.Now())
 			ln := e.dir.Line(block)
 			shared := sharedElsewhere(ln, node, node)
 			ln.SetDirty(node)
 			if !shared {
-				e.finishUpgrade(node, block, e.k.Now(), 0, pending{sp: sp, done: done})
+				e.finishUpgrade(node, block, e.K.Now(), 0, pending{sp: sp, done: done})
 				return
 			}
 			tag := e.open(node, block, sp, done)
@@ -551,7 +463,7 @@ func (e *Engine) upgradeAtHome(node int, tag uint16, h int, block uint64) {
 	if DebugUpgrade != nil {
 		DebugUpgrade(block, ln.NumSharers(), h, node, shared)
 	}
-	e.caches[h].Invalidate(block)
+	e.Caches[h].Invalidate(block)
 	ln.SetDirty(node)
 	p := ring.Payload{Kind: pkAck, Tag: tag, X: int32(node), A: block,
 		B: encodeRes(coherence.Invalidation, coherence.LocalOrHit, 1)}
@@ -566,7 +478,7 @@ func (e *Engine) upgradeAtHome(node int, tag uint16, h int, block uint64) {
 
 // finishUpgrade grants write permission at the requester.
 func (e *Engine) finishUpgrade(node int, block uint64, at sim.Time, trav int, req pending) {
-	if !e.caches[node].Upgrade(block) {
+	if !e.Caches[node].Upgrade(block) {
 		// Invalidated by a racing writer while our request was in
 		// flight; the permission grant still stands per the directory,
 		// so install fresh.
@@ -597,8 +509,8 @@ func (e *Engine) Deliver(dst int, at sim.Time, p ring.Payload) {
 		// dst is the home. Its bank serializes the directory lookup;
 		// the grant is the directory protocol's "ack observed"
 		// waypoint: the request is now being serviced.
-		e.banks[dst].Access(func() {
-			e.spanOf(req, p.Tag).Mark(obs.PhaseAck, e.k.Now())
+		e.Banks[dst].Access(func() {
+			e.spanOf(req, p.Tag).Mark(obs.PhaseAck, e.K.Now())
 			if p.Kind == pkReq {
 				e.atHome(req, p.Tag, dst, block, write)
 			} else {
@@ -610,12 +522,12 @@ func (e *Engine) Deliver(dst int, at sim.Time, p ring.Payload) {
 		// dst is the dirty owner: fetch from cache, downgrade or
 		// invalidate the copy, ship the block to the requester.
 		if write {
-			e.caches[dst].Invalidate(block)
+			e.Caches[dst].Invalidate(block)
 		} else {
-			e.caches[dst].Downgrade(block)
+			e.Caches[dst].Downgrade(block)
 		}
 		p.Kind = pkData
-		e.k.After(CacheSupplyTime, func() {
+		e.Fetch(dst, true, func() {
 			e.send(dst, req, ring.BlockSlot, p)
 		})
 
@@ -632,7 +544,7 @@ func (e *Engine) Deliver(dst int, at sim.Time, p ring.Payload) {
 
 	case pkWB:
 		// dst is the home: record the returned block.
-		e.banks[dst].Access(func() {
+		e.Banks[dst].Access(func() {
 			e.dir.Line(block).RemoveSharer(req) // also clears the dirty bit if owner
 		})
 
@@ -647,7 +559,7 @@ func (e *Engine) Visit(node int, at sim.Time, p ring.Payload) {
 	switch p.Kind {
 	case pkInvalFill, pkInvalLocal, pkInvalSend, pkInvalAck:
 		if node != int(p.X) {
-			e.caches[node].Invalidate(p.A)
+			e.Caches[node].Invalidate(p.A)
 		}
 	}
 }
@@ -676,13 +588,4 @@ func (e *Engine) Return(src int, at sim.Time, p ring.Payload) {
 	default:
 		panic(fmt.Sprintf("directory: unexpected broadcast return kind %d at node %d", p.Kind, src))
 	}
-}
-
-// homeMapFor returns the configured home map, or builds the default
-// seeded-random page placement.
-func homeMapFor(n int, opts Options) *memory.HomeMap {
-	if opts.Home != nil {
-		return opts.Home
-	}
-	return memory.NewHomeMap(n, opts.PageBytes, sim.NewRand(opts.Seed))
 }

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -35,10 +37,16 @@ func forRings(t *testing.T, f func(t *testing.T, net string)) {
 	}
 }
 
+// machine returns the n nodes of a whole machine with the paper's
+// caches and a seeded random page placement.
+func machine(k *sim.Kernel, n int, seed uint64) *node.Set {
+	return node.New(k, memory.NewHomeMap(n, 4096, sim.NewRand(seed)), cache.Config{}, 0, n)
+}
+
 func testEngine(t *testing.T, net string, nodes int) (*sim.Kernel, *Engine) {
 	t.Helper()
 	k := sim.NewKernel()
-	return k, New(newNets(k, net, nodes), Options{Seed: 1})
+	return k, New(newNets(k, net, nodes), machine(k, nodes, 1), nil)
 }
 
 func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (coherence.Result, sim.Time) {
@@ -59,7 +67,7 @@ func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (cohere
 func TestHit(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 4)
-		e.HomeMap().Place(0x1000, 1)
+		e.Home.Place(0x1000, 1)
 		access(k, e, 0, 0x1000, false)
 		res, lat := access(k, e, 0, 0x1000, false)
 		if !res.Hit || lat != 0 {
@@ -71,7 +79,7 @@ func TestHit(t *testing.T) {
 func TestRemoteCleanReadMissIsOneTraversal(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x1000, 5)
+		e.Home.Place(0x1000, 5)
 		res, lat := access(k, e, 1, 0x1000, false)
 		if res.Txn != coherence.ReadMissClean || res.Local {
 			t.Fatalf("res = %+v, want remote clean read miss", res)
@@ -98,7 +106,7 @@ func TestRemoteCleanReadMissIsOneTraversal(t *testing.T) {
 func TestLocalCleanMissUsesNoRing(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x2000, 3)
+		e.Home.Place(0x2000, 3)
 		res, lat := access(k, e, 3, 0x2000, false)
 		if !res.Local || res.Traversals != 0 {
 			t.Fatalf("res = %+v, want local, 0 traversals", res)
@@ -124,7 +132,7 @@ func TestDirtyMissClassDependsOnOwnerPosition(t *testing.T) {
 		}
 		for _, c := range cases {
 			k, e := testEngine(t, net, 8)
-			e.HomeMap().Place(0x3000, 2)
+			e.Home.Place(0x3000, 2)
 			access(k, e, c.owner, 0x3000, true) // make owner dirty
 			res, _ := access(k, e, 0, 0x3000, false)
 			if res.Txn != coherence.ReadMissDirty {
@@ -135,10 +143,10 @@ func TestDirtyMissClassDependsOnOwnerPosition(t *testing.T) {
 					c.owner, res.Traversals, res.Class, c.wantTrav, c.wantClass)
 			}
 			// The owner downgraded; the reader holds RS; dirty bit clear.
-			if e.Cache(c.owner).State(0x3000) != coherence.ReadShared {
+			if e.Caches[c.owner].State(0x3000) != coherence.ReadShared {
 				t.Fatal("owner did not downgrade")
 			}
-			if e.Cache(0).State(0x3000) != coherence.ReadShared {
+			if e.Caches[0].State(0x3000) != coherence.ReadShared {
 				t.Fatal("reader did not get RS")
 			}
 			if e.Directory().Line(0x3000).Dirty {
@@ -151,7 +159,7 @@ func TestDirtyMissClassDependsOnOwnerPosition(t *testing.T) {
 func TestWriteMissWithSharersIsTwoTraversals(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x4000, 2)
+		e.Home.Place(0x4000, 2)
 		access(k, e, 4, 0x4000, false)
 		access(k, e, 6, 0x4000, false)
 		res, _ := access(k, e, 0, 0x4000, true)
@@ -162,7 +170,7 @@ func TestWriteMissWithSharersIsTwoTraversals(t *testing.T) {
 			t.Fatalf("traversals/class = %d/%v, want 2/two-cycle", res.Traversals, res.Class)
 		}
 		for _, n := range []int{4, 6} {
-			if e.Cache(n).State(0x4000) != coherence.Invalid {
+			if e.Caches[n].State(0x4000) != coherence.Invalid {
 				t.Fatalf("sharer %d survived multicast", n)
 			}
 		}
@@ -176,7 +184,7 @@ func TestWriteMissWithSharersIsTwoTraversals(t *testing.T) {
 func TestWriteMissNoSharersIsOneTraversal(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x5000, 2)
+		e.Home.Place(0x5000, 2)
 		res, _ := access(k, e, 0, 0x5000, true)
 		if res.Traversals != 1 || res.Class != coherence.OneCycleClean {
 			t.Fatalf("traversals/class = %d/%v, want 1/one-cycle-clean", res.Traversals, res.Class)
@@ -187,7 +195,7 @@ func TestWriteMissNoSharersIsOneTraversal(t *testing.T) {
 func TestUpgradeWithSharersTwoTraversals(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x6000, 2)
+		e.Home.Place(0x6000, 2)
 		access(k, e, 0, 0x6000, false)
 		access(k, e, 5, 0x6000, false)
 		res, _ := access(k, e, 0, 0x6000, true) // upgrade, sharer at 5
@@ -197,10 +205,10 @@ func TestUpgradeWithSharersTwoTraversals(t *testing.T) {
 		if res.Traversals != 2 {
 			t.Fatalf("traversals = %d, want 2 (request + multicast + ack)", res.Traversals)
 		}
-		if e.Cache(5).State(0x6000) != coherence.Invalid {
+		if e.Caches[5].State(0x6000) != coherence.Invalid {
 			t.Fatal("sharer survived invalidation")
 		}
-		if e.Cache(0).State(0x6000) != coherence.WriteExclusive {
+		if e.Caches[0].State(0x6000) != coherence.WriteExclusive {
 			t.Fatal("upgrader not WE")
 		}
 	})
@@ -209,7 +217,7 @@ func TestUpgradeWithSharersTwoTraversals(t *testing.T) {
 func TestUpgradeSoleSharerOneTraversal(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x7000, 2)
+		e.Home.Place(0x7000, 2)
 		access(k, e, 0, 0x7000, false)
 		res, _ := access(k, e, 0, 0x7000, true)
 		if res.Traversals != 1 {
@@ -221,13 +229,13 @@ func TestUpgradeSoleSharerOneTraversal(t *testing.T) {
 func TestLocalUpgradeNoSharersIsFree(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x8000, 3)
+		e.Home.Place(0x8000, 3)
 		access(k, e, 3, 0x8000, false)
 		res, _ := access(k, e, 3, 0x8000, true)
 		if !res.Local || res.Traversals != 0 {
 			t.Fatalf("res = %+v, want local 0-traversal upgrade", res)
 		}
-		if e.Cache(3).State(0x8000) != coherence.WriteExclusive {
+		if e.Caches[3].State(0x8000) != coherence.WriteExclusive {
 			t.Fatal("upgrader not WE")
 		}
 	})
@@ -238,13 +246,13 @@ func TestLocalMissOnRemoteDirtyBlock(t *testing.T) {
 		// Home node misses on its own block while a remote node holds it
 		// dirty: one traversal (home → owner → home).
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x9000, 2)
+		e.Home.Place(0x9000, 2)
 		access(k, e, 6, 0x9000, true)
 		res, _ := access(k, e, 2, 0x9000, false)
 		if res.Txn != coherence.ReadMissDirty || res.Traversals != 1 || res.Class != coherence.OneCycleDirty {
 			t.Fatalf("res = %+v, want 1-traversal dirty read", res)
 		}
-		if e.Cache(6).State(0x9000) != coherence.ReadShared {
+		if e.Caches[6].State(0x9000) != coherence.ReadShared {
 			t.Fatal("owner did not downgrade")
 		}
 	})
@@ -254,15 +262,15 @@ func TestDirtyEvictionWritesBackAndClearsDirectory(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 4)
 		const a, b = 0x1_0000_0000, 0x1_0002_0000 // same cache set
-		e.HomeMap().Place(a, 1)
-		e.HomeMap().Place(b, 1)
+		e.Home.Place(a, 1)
+		e.Home.Place(b, 1)
 		access(k, e, 0, a, true)
 		access(k, e, 0, b, false) // evicts dirty a
 		k.Run()                   // let the write-back land
-		if e.WriteBacks != 1 {
-			t.Fatalf("WriteBacks = %d, want 1", e.WriteBacks)
+		if e.WriteBacksOf(0) != 1 {
+			t.Fatalf("WriteBacks = %d, want 1", e.WriteBacksOf(0))
 		}
-		ln := e.Directory().Line(e.Cache(0).BlockAddr(a))
+		ln := e.Directory().Line(e.Caches[0].BlockAddr(a))
 		if ln.Dirty || ln.HasSharer(0) {
 			t.Fatalf("directory not cleaned by write-back: %+v", ln)
 		}
@@ -278,13 +286,13 @@ func TestHomeOwnedDirtySupplyCountsAsDirtyMiss(t *testing.T) {
 		// The home's own cache holds the block WE: the request still takes
 		// one traversal, but the transaction is a dirty miss.
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0xa000, 2)
+		e.Home.Place(0xa000, 2)
 		access(k, e, 2, 0xa000, true) // home takes it WE locally
 		res, _ := access(k, e, 0, 0xa000, false)
 		if res.Txn != coherence.ReadMissDirty || res.Traversals != 1 {
 			t.Fatalf("res = %+v, want 1-traversal dirty read from home cache", res)
 		}
-		if e.Cache(2).State(0xa000) != coherence.ReadShared {
+		if e.Caches[2].State(0xa000) != coherence.ReadShared {
 			t.Fatal("home cache did not downgrade")
 		}
 	})
@@ -293,7 +301,7 @@ func TestHomeOwnedDirtySupplyCountsAsDirtyMiss(t *testing.T) {
 func TestDirectoryStateConsistencyUnderRandomTraffic(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k := sim.NewKernel()
-		e := New(newNets(k, net, 8), Options{Seed: 7})
+		e := New(newNets(k, net, 8), machine(k, 8, 7), nil)
 		rng := sim.NewRand(123)
 		blocks := []uint64{0x1000, 0x2000, 0x3000, 0x4000, 0x5000}
 		for i := 0; i < 300; i++ {
@@ -310,7 +318,7 @@ func TestDirectoryStateConsistencyUnderRandomTraffic(t *testing.T) {
 				ln := e.Directory().Line(b)
 				writers := 0
 				for n := 0; n < 8; n++ {
-					st := e.Cache(n).State(b)
+					st := e.Caches[n].State(b)
 					if st == coherence.WriteExclusive {
 						writers++
 						if !ln.Dirty || ln.Owner != n {
@@ -369,7 +377,7 @@ func TestZeroContentionRingsAgree(t *testing.T) {
 		engines := map[string]*Engine{}
 		for _, net := range rings {
 			k := sim.NewKernel()
-			e := New(newNets(k, net, nodes), Options{Home: memory.NewHashedHomeMap(nodes, 4096, seed)})
+			e := New(newNets(k, net, nodes), node.New(k, memory.NewHashedHomeMap(nodes, 4096, seed), cache.Config{}, 0, nodes), nil)
 			rng := sim.NewRand(seed)
 			for i := 0; i < 400; i++ {
 				node := rng.Intn(nodes)
@@ -391,11 +399,15 @@ func TestZeroContentionRingsAgree(t *testing.T) {
 				t.Fatalf("seed %d access %d: ring %+v, segmented %+v", seed, i, want[i], got[i])
 			}
 		}
-		if engines["ring"].WriteBacks == 0 {
+		var wb uint64
+		for n := 0; n < nodes; n++ {
+			wb += engines["ring"].WriteBacksOf(n)
+		}
+		if wb == 0 {
 			t.Fatalf("seed %d: the sequence wrote nothing back", seed)
 		}
 		for _, b := range blocks {
-			blk := engines["ring"].Cache(0).BlockAddr(b)
+			blk := engines["ring"].Caches[0].BlockAddr(b)
 			r, s := lineOf(engines["ring"], blk), lineOf(engines["segmented"], blk)
 			if !reflect.DeepEqual(r, s) {
 				t.Errorf("seed %d block %#x: ring line %+v, segmented line %+v", seed, blk, r, s)
@@ -412,8 +424,8 @@ func TestZeroContentionRingsAgree(t *testing.T) {
 func TestOutstandingRequestsPerNode(t *testing.T) {
 	forRings(t, func(t *testing.T, net string) {
 		k, e := testEngine(t, net, 8)
-		e.HomeMap().Place(0x1000, 5)
-		e.HomeMap().Place(0x2000, 6)
+		e.Home.Place(0x1000, 5)
+		e.Home.Place(0x2000, 6)
 		// Node 3 owns 0x1000 dirty and lies on node 1's arc to the home,
 		// so node 1's first write is forwarded the long way round; the
 		// second write finds node 1 already the owner at the home and is
@@ -473,8 +485,13 @@ func TestTracerNeedsWholeClassicRing(t *testing.T) {
 					t.Fatal("New accepted a tracer it cannot serve")
 				}
 			}()
+			hi := c.hi
+			if hi == 0 {
+				hi = 8 // the whole machine
+			}
 			k := sim.NewKernel()
-			New(newNets(k, c.net, 8), Options{Tracer: obs.New(obs.Config{SampleEvery: 1}, 8), NodeLo: c.lo, NodeHi: c.hi})
+			n := node.New(k, memory.NewHomeMap(8, 4096, sim.NewRand(1)), cache.Config{}, c.lo, hi)
+			New(newNets(k, c.net, 8), n, obs.New(obs.Config{SampleEvery: 1}, 8))
 		})
 	}
 }

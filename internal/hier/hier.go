@@ -16,17 +16,17 @@
 package hier
 
 import (
+	"errors"
 	"fmt"
 
-	"repro/internal/cache"
+	// The engine reaches the caches only through its node set; importing
+	// the package lets the compiler inline their state transitions.
+	_ "repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
-
-// CacheSupplyTime matches the flat engines' remote fetch time.
-const CacheSupplyTime = memory.BankTime
 
 // Options configures a hierarchical engine.
 type Options struct {
@@ -36,14 +36,6 @@ type Options struct {
 	// Ring is the physical configuration shared by the local rings and
 	// the global ring (clock, width, block size, slot mix).
 	Ring ring.Config
-	// Cache is the per-node cache geometry (zero: paper defaults).
-	Cache cache.Config
-	// PageBytes is the home-placement granularity; default 4096.
-	PageBytes int
-	// Seed drives random page placement.
-	Seed uint64
-	// Home, when non-nil, supplies a pre-built placement.
-	Home *memory.HomeMap
 }
 
 // hmeta is the home-side and IRI-summary state of one block.
@@ -55,20 +47,13 @@ type hmeta struct {
 
 // Engine is a hierarchical snooping coherence engine.
 type Engine struct {
-	k        *sim.Kernel
-	nodes    int
+	*node.Set
 	clusters int
 	perClus  int
 	global   *ring.Ring
 	locals   []*ring.Ring
-	caches   []*cache.Cache
-	banks    []*memory.Bank
-	home     *memory.HomeMap
 	meta     map[uint64]*hmeta
 
-	// WriteBacks counts dirty-eviction transfers.
-	WriteBacks uint64
-	wbByNode   []uint64
 	// Txns counts coherence transactions (misses and upgrades);
 	// GlobalTxns the subset that crossed the global ring. Both span the
 	// whole run.
@@ -76,47 +61,42 @@ type Engine struct {
 	GlobalTxns uint64
 }
 
-// New returns a hierarchical engine for nodes processors in
-// opts.Clusters clusters, attached to k.
-func New(k *sim.Kernel, nodes int, opts Options) *Engine {
-	if opts.Clusters <= 1 {
-		panic("hier: need at least two clusters")
+// CheckClusters reports whether nodes processors split into clusters
+// local rings: at least two, each with the same node count.
+func CheckClusters(nodes, clusters int) error {
+	if clusters <= 1 {
+		return errors.New("hier: need at least two clusters")
 	}
-	if nodes%opts.Clusters != 0 {
-		panic(fmt.Sprintf("hier: %d nodes not divisible into %d clusters", nodes, opts.Clusters))
+	if nodes%clusters != 0 {
+		return fmt.Errorf("hier: %d nodes not divisible into %d clusters", nodes, clusters)
 	}
-	if opts.PageBytes == 0 {
-		opts.PageBytes = 4096
+	return nil
+}
+
+// New returns a hierarchical engine serving the nodes n in
+// opts.Clusters clusters.
+func New(n *node.Set, opts Options) *Engine {
+	nodes := len(n.Caches)
+	if err := CheckClusters(nodes, opts.Clusters); err != nil {
+		panic(err)
 	}
 	per := nodes / opts.Clusters
 	e := &Engine{
-		k:        k,
-		nodes:    nodes,
+		Set:      n,
 		clusters: opts.Clusters,
 		perClus:  per,
-		caches:   make([]*cache.Cache, nodes),
-		banks:    make([]*memory.Bank, nodes),
-		wbByNode: make([]uint64, nodes),
 		meta:     make(map[uint64]*hmeta),
 	}
 	gc := opts.Ring
 	gc.Nodes = opts.Clusters
-	e.global = ring.New(k, gc)
+	e.global = ring.New(n.K, gc)
 	e.locals = make([]*ring.Ring, opts.Clusters)
 	for c := range e.locals {
 		lc := opts.Ring
 		lc.Nodes = per + 1 // the extra interface is the IRI
-		e.locals[c] = ring.New(k, lc)
+		e.locals[c] = ring.New(n.K, lc)
 	}
-	if opts.Home != nil {
-		e.home = opts.Home
-	} else {
-		e.home = memory.NewHomeMap(nodes, opts.PageBytes, sim.NewRand(opts.Seed))
-	}
-	for i := 0; i < nodes; i++ {
-		e.caches[i] = cache.New(opts.Cache)
-		e.banks[i] = memory.NewBank(k, "mem")
-	}
+	n.Bind(e)
 	return e
 }
 
@@ -135,12 +115,6 @@ func (e *Engine) GlobalRing() *ring.Ring { return e.global }
 
 // LocalRing returns cluster c's ring.
 func (e *Engine) LocalRing(c int) *ring.Ring { return e.locals[c] }
-
-// Cache returns node's cache.
-func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
-
-// HomeMap returns the page placement.
-func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 
 // NetworkUtilization reports the slot utilization averaged over every
 // ring (local rings and global), weighted by slot count.
@@ -178,12 +152,6 @@ func (e *Engine) GlobalShare() float64 {
 	return float64(e.GlobalTxns) / float64(e.Txns)
 }
 
-// HasBlock implements the core engine probe.
-func (e *Engine) HasBlock(node int, addr uint64) bool {
-	c := e.caches[node]
-	return c.State(c.BlockAddr(addr)) != coherence.Invalid
-}
-
 func (e *Engine) metaFor(block uint64) *hmeta {
 	m := e.meta[block]
 	if m == nil {
@@ -203,25 +171,9 @@ func (m *hmeta) remoteCopies(c int) bool {
 	return false
 }
 
-// Access implements the core engine interface.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
-	c := e.caches[node]
-	block := c.BlockAddr(addr)
-	switch c.Lookup(addr, write) {
-	case cache.Hit:
-		done(e.k.Now(), coherence.Result{Hit: true})
-	case cache.MissRead:
-		e.miss(node, block, false, done)
-	case cache.MissWrite:
-		e.miss(node, block, true, done)
-	case cache.Upgrade:
-		e.upgrade(node, block, done)
-	}
-}
-
 // invalidate drops node's copy and maintains the cluster summary.
 func (e *Engine) invalidate(node int, block uint64) {
-	if e.caches[node].Invalidate(block) != coherence.Invalid {
+	if e.Caches[node].Invalidate(block) != coherence.Invalid {
 		m := e.metaFor(block)
 		if c := e.cluster(node); m.copies[c] > 0 {
 			m.copies[c]--
@@ -232,7 +184,7 @@ func (e *Engine) invalidate(node int, block uint64) {
 // fill installs a block, maintaining the summary and writing back any
 // dirty victim.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
-	v := e.caches[node].Fill(block, st)
+	v := e.Fill(node, block, st)
 	e.metaFor(block).copies[e.cluster(node)]++
 	if !v.Valid {
 		return
@@ -246,24 +198,18 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 	}
 }
 
-// WriteBacksOf returns the write-backs caused by node's own evictions;
-// the core's per-processor warmup gating reads it.
-func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
-
 // writeBack returns a dirty block to its home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
-	e.WriteBacks++
-	e.wbByNode[node]++
-	h := e.home.Home(block)
+	h := e.Home.Home(block)
 	land := func(sim.Time) {
 		m := e.metaFor(block)
 		if m.dirty && m.owner == node {
 			m.dirty = false
 		}
-		e.banks[h].Access(nil)
+		e.Banks[h].Access(nil)
 	}
 	if h == node {
-		land(e.k.Now())
+		land(e.K.Now())
 		return
 	}
 	e.sendBlockPath(node, h, land)
@@ -299,25 +245,14 @@ func (e *Engine) sendBlockPath(a, b int, delivered func(at sim.Time)) {
 	})
 }
 
-// supply fetches the block at the responder (bank at the clean home,
-// cache at a dirty owner) and ships it to the requester.
-func (e *Engine) supply(responder, requester int, fromCache bool, delivered func(at sim.Time)) {
-	send := func() { e.sendBlockPath(responder, requester, delivered) }
-	if fromCache {
-		e.k.After(CacheSupplyTime, send)
-	} else {
-		e.banks[responder].Access(send)
-	}
-}
-
 // DebugGlobal, when non-nil, observes each miss's routing decision.
 // Test-only instrumentation.
 var DebugGlobal func(block uint64, global, remoteResponder, dirty, write bool)
 
-// miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+// Miss services a read or write miss.
+func (e *Engine) Miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
 	m := e.metaFor(block)
-	h := e.home.Home(block)
+	h := e.Home.Home(block)
 	cn := e.cluster(node)
 	dirtyRemote := m.dirty && m.owner != node
 
@@ -325,7 +260,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	// anywhere else per the IRI summary.
 	soleCopies := !m.remoteCopies(cn) && m.copies[cn] == 0
 	if h == node && !dirtyRemote && (!write || soleCopies) {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			st := coherence.ReadShared
 			if write {
 				st = coherence.WriteExclusive
@@ -337,7 +272,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 			if write {
 				txn = coherence.WriteMissClean
 			}
-			done(e.k.Now(), coherence.Result{Txn: txn, Local: true})
+			done(e.K.Now(), coherence.Result{Txn: txn, Local: true})
 		})
 		return
 	}
@@ -390,19 +325,19 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	if responder == node {
 		// Write miss on a clean block homed here with remote copies:
 		// the data is local, the sweeps do the rest.
-		e.banks[node].Access(func() { j.arrive(e.k.Now()) })
+		e.Banks[node].Access(func() { j.arrive(e.K.Now()) })
 	} else {
 		e.sendProbePath(node, responder, block, func(sim.Time) {
 			if dirtyRemote {
 				if write {
 					e.invalidate(responder, block)
 				} else {
-					e.caches[responder].Downgrade(block)
+					e.Caches[responder].Downgrade(block)
 				}
-				e.supply(responder, node, true, func(at sim.Time) { j.arrive(at) })
-			} else {
-				e.supply(responder, node, false, func(at sim.Time) { j.arrive(at) })
 			}
+			e.Fetch(responder, dirtyRemote, func() {
+				e.sendBlockPath(responder, node, func(at sim.Time) { j.arrive(at) })
+			})
 		})
 	}
 	j.seal()
@@ -451,8 +386,8 @@ func (e *Engine) sweeps(node int, block uint64, m *hmeta, j *join) {
 	})
 }
 
-// upgrade services an invalidation request.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+// Upgrade services an invalidation request.
+func (e *Engine) Upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
 	m := e.metaFor(block)
 	cn := e.cluster(node)
 	needGlobal := m.remoteCopies(cn)
@@ -463,7 +398,7 @@ func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.R
 		e.GlobalTxns++
 	}
 	j := newJoin(func(at sim.Time) {
-		if !e.caches[node].Upgrade(block) {
+		if !e.Caches[node].Upgrade(block) {
 			e.fill(node, block, coherence.WriteExclusive)
 		}
 		m.dirty = true

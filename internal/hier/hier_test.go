@@ -3,17 +3,25 @@ package hier
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
+
+// machine returns the n nodes of a whole machine with the paper's
+// caches and a seeded random page placement.
+func machine(k *sim.Kernel, n int, seed uint64) *node.Set {
+	return node.New(k, memory.NewHomeMap(n, 4096, sim.NewRand(seed)), cache.Config{}, 0, n)
+}
 
 // testEngine builds a 2-cluster × 4-node machine.
 func testEngine(t *testing.T) (*sim.Kernel, *Engine) {
 	t.Helper()
 	k := sim.NewKernel()
-	return k, New(k, 8, Options{Clusters: 2, Seed: 1})
+	return k, New(machine(k, 8, 1), Options{Clusters: 2})
 }
 
 func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (coherence.Result, sim.Time) {
@@ -34,8 +42,8 @@ func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (cohere
 func TestConstructionValidation(t *testing.T) {
 	k := sim.NewKernel()
 	for _, fn := range []func(){
-		func() { New(k, 8, Options{Clusters: 1}) },
-		func() { New(k, 9, Options{Clusters: 2}) },
+		func() { New(machine(k, 8, 0), Options{Clusters: 1}) },
+		func() { New(machine(k, 9, 0), Options{Clusters: 2}) },
 	} {
 		func() {
 			defer func() {
@@ -72,7 +80,7 @@ func TestTopology(t *testing.T) {
 
 func TestLocalCleanMissStaysLocal(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 0)
+	e.Home.Place(0x1000, 0)
 	res, lat := access(k, e, 0, 0x1000, false)
 	if !res.Local || res.Txn != coherence.ReadMissClean {
 		t.Fatalf("res = %+v, want local clean miss", res)
@@ -87,7 +95,7 @@ func TestLocalCleanMissStaysLocal(t *testing.T) {
 
 func TestIntraClusterMissUsesLocalRingOnly(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x2000, 2) // cluster 0
+	e.Home.Place(0x2000, 2) // cluster 0
 	res, _ := access(k, e, 0, 0x2000, false)
 	if res.Traversals != 1 {
 		t.Fatalf("traversals = %d, want 1 (local only)", res.Traversals)
@@ -103,7 +111,7 @@ func TestIntraClusterMissUsesLocalRingOnly(t *testing.T) {
 
 func TestInterClusterMissCrossesGlobalRing(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x3000, 6) // cluster 1
+	e.Home.Place(0x3000, 6) // cluster 1
 	res, lat := access(k, e, 0, 0x3000, false)
 	if res.Traversals != 2 {
 		t.Fatalf("traversals = %d, want 2 (global involved)", res.Traversals)
@@ -116,7 +124,7 @@ func TestInterClusterMissCrossesGlobalRing(t *testing.T) {
 	}
 	// Inter-cluster costs more than intra-cluster.
 	k2, e2 := testEngine(t)
-	e2.HomeMap().Place(0x3000, 2)
+	e2.Home.Place(0x3000, 2)
 	_, latIntra := access(k2, e2, 0, 0x3000, false)
 	if lat <= latIntra {
 		t.Fatalf("inter-cluster latency %v should exceed intra-cluster %v", lat, latIntra)
@@ -125,23 +133,23 @@ func TestInterClusterMissCrossesGlobalRing(t *testing.T) {
 
 func TestDirtySupplyAcrossClusters(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x4000, 1)
+	e.Home.Place(0x4000, 1)
 	access(k, e, 5, 0x4000, true) // cluster 1 takes it dirty
 	res, _ := access(k, e, 0, 0x4000, false)
 	if res.Txn != coherence.ReadMissDirty {
 		t.Fatalf("txn = %v, want read-miss-dirty", res.Txn)
 	}
-	if e.Cache(5).State(0x4000) != coherence.ReadShared {
+	if e.Caches[5].State(0x4000) != coherence.ReadShared {
 		t.Fatal("remote owner did not downgrade")
 	}
-	if e.Cache(0).State(0x4000) != coherence.ReadShared {
+	if e.Caches[0].State(0x4000) != coherence.ReadShared {
 		t.Fatal("reader did not get RS")
 	}
 }
 
 func TestWriteInvalidatesAcrossClusters(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x5000, 1)
+	e.Home.Place(0x5000, 1)
 	access(k, e, 0, 0x5000, false) // cluster 0 sharer
 	access(k, e, 5, 0x5000, false) // cluster 1 sharer
 	access(k, e, 7, 0x5000, false) // cluster 1 sharer
@@ -150,18 +158,18 @@ func TestWriteInvalidatesAcrossClusters(t *testing.T) {
 		t.Fatalf("res = %+v, want 2-traversal write miss", res)
 	}
 	for _, n := range []int{0, 5, 7} {
-		if e.Cache(n).State(0x5000) != coherence.Invalid {
+		if e.Caches[n].State(0x5000) != coherence.Invalid {
 			t.Fatalf("sharer %d survived cross-cluster write", n)
 		}
 	}
-	if e.Cache(1).State(0x5000) != coherence.WriteExclusive {
+	if e.Caches[1].State(0x5000) != coherence.WriteExclusive {
 		t.Fatal("writer not WE")
 	}
 }
 
 func TestWriteWithOnlyLocalSharersStaysLocal(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x6000, 1) // cluster 0
+	e.Home.Place(0x6000, 1) // cluster 0
 	access(k, e, 0, 0x6000, false)
 	access(k, e, 2, 0x6000, false)
 	before := e.GlobalTxns
@@ -173,7 +181,7 @@ func TestWriteWithOnlyLocalSharersStaysLocal(t *testing.T) {
 		t.Fatal("cluster-contained write used the global ring")
 	}
 	for _, n := range []int{0, 2} {
-		if e.Cache(n).State(0x6000) != coherence.Invalid {
+		if e.Caches[n].State(0x6000) != coherence.Invalid {
 			t.Fatalf("local sharer %d survived", n)
 		}
 	}
@@ -181,27 +189,27 @@ func TestWriteWithOnlyLocalSharersStaysLocal(t *testing.T) {
 
 func TestUpgradeAcrossClusters(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x7000, 1)
+	e.Home.Place(0x7000, 1)
 	access(k, e, 0, 0x7000, false)
 	access(k, e, 6, 0x7000, false)
 	res, _ := access(k, e, 0, 0x7000, true)
 	if res.Txn != coherence.Invalidation || res.Traversals != 2 {
 		t.Fatalf("res = %+v, want 2-traversal invalidation", res)
 	}
-	if e.Cache(6).State(0x7000) != coherence.Invalid {
+	if e.Caches[6].State(0x7000) != coherence.Invalid {
 		t.Fatal("remote sharer survived upgrade")
 	}
-	if e.Cache(0).State(0x7000) != coherence.WriteExclusive {
+	if e.Caches[0].State(0x7000) != coherence.WriteExclusive {
 		t.Fatal("upgrader not WE")
 	}
 }
 
 func TestSummaryTracksCopies(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x8000, 1)
+	e.Home.Place(0x8000, 1)
 	access(k, e, 0, 0x8000, false)
 	access(k, e, 5, 0x8000, false)
-	m := e.metaFor(e.caches[0].BlockAddr(0x8000))
+	m := e.metaFor(e.Caches[0].BlockAddr(0x8000))
 	if m.copies[0] != 1 || m.copies[1] != 1 {
 		t.Fatalf("copies = %v, want [1 1]", m.copies)
 	}
@@ -214,13 +222,13 @@ func TestSummaryTracksCopies(t *testing.T) {
 func TestDirtyEvictionWritesBackAcrossClusters(t *testing.T) {
 	k, e := testEngine(t)
 	const a, b = 0x1_0000_0000, 0x1_0002_0000
-	e.HomeMap().Place(a, 6) // remote home
-	e.HomeMap().Place(b, 6)
+	e.Home.Place(a, 6) // remote home
+	e.Home.Place(b, 6)
 	access(k, e, 0, a, true)
 	access(k, e, 0, b, false) // evicts dirty a
 	k.Run()
-	if e.WriteBacks != 1 {
-		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacks)
+	if e.WriteBacksOf(0) != 1 {
+		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacksOf(0))
 	}
 	res, _ := access(k, e, 1, a, false)
 	if res.Txn != coherence.ReadMissClean {
@@ -230,7 +238,7 @@ func TestDirtyEvictionWritesBackAcrossClusters(t *testing.T) {
 
 func TestConsistencyUnderRandomTraffic(t *testing.T) {
 	k := sim.NewKernel()
-	e := New(k, 16, Options{Clusters: 4, Seed: 3})
+	e := New(machine(k, 16, 3), Options{Clusters: 4})
 	rng := sim.NewRand(55)
 	blocks := []uint64{0x1000, 0x2000, 0x3000, 0x4000}
 	for i := 0; i < 400; i++ {
@@ -243,7 +251,7 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 			writers := 0
 			perCluster := make([]int, 4)
 			for n := 0; n < 16; n++ {
-				st := e.Cache(n).State(b)
+				st := e.Caches[n].State(b)
 				if st == coherence.WriteExclusive {
 					writers++
 				}
@@ -267,7 +275,7 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 
 func TestNetworkUtilizationAggregates(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x9000, 6)
+	e.Home.Place(0x9000, 6)
 	access(k, e, 0, 0x9000, false)
 	if u := e.NetworkUtilization(); u <= 0 || u > 1 {
 		t.Fatalf("NetworkUtilization = %v", u)

@@ -9,6 +9,7 @@
 package memory
 
 import (
+	"errors"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -40,14 +41,23 @@ type HomeMap struct {
 // shared pages stay randomly allocated, as in the paper.
 func (h *HomeMap) SetHint(hint func(addr uint64) (int, bool)) { h.hint = hint }
 
+// CheckPageBytes reports whether pageBytes is a usable placement
+// granularity: a positive power of two.
+func CheckPageBytes(pageBytes int) error {
+	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
+		return errors.New("memory: page size must be a positive power of two")
+	}
+	return nil
+}
+
 // NewHomeMap returns a page-granular random home mapping over the given
 // number of nodes. pageBytes must be a power of two.
 func NewHomeMap(nodes, pageBytes int, rng *sim.Rand) *HomeMap {
 	if nodes <= 0 {
 		panic("memory: need at least one node")
 	}
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic("memory: page size must be a positive power of two")
+	if err := CheckPageBytes(pageBytes); err != nil {
+		panic(err)
 	}
 	return &HomeMap{nodes: nodes, pageBytes: pageBytes, table: make(map[uint64]int), rng: rng}
 }
@@ -119,6 +129,26 @@ func (h *HomeMap) Place(addr uint64, home int) {
 		panic("memory: home out of range")
 	}
 	h.table[addr/uint64(h.pageBytes)] = home
+}
+
+// DirtyBit is the state a snooping protocol keeps in main memory for
+// one block: whether some cache holds it dirty, and which one.
+type DirtyBit struct {
+	Dirty bool
+	Owner int
+}
+
+// DirtyBits holds the dirty bits of the blocks touched so far.
+type DirtyBits map[uint64]*DirtyBit
+
+// Of returns block's dirty bit, clean and unowned on first touch.
+func (d DirtyBits) Of(block uint64) *DirtyBit {
+	m := d[block]
+	if m == nil {
+		m = &DirtyBit{Owner: -1}
+		d[block] = m
+	}
+	return m
 }
 
 // Line is the per-block directory record kept at the home node.

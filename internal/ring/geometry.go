@@ -15,6 +15,7 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -104,6 +105,36 @@ func (c *Config) fill() {
 	}
 }
 
+// Validate reports whether the configuration, zero fields taking the
+// paper's defaults, lays out as a ring.
+func (c Config) Validate() error {
+	c.fill()
+	if c.Nodes <= 0 {
+		return errors.New("ring: need at least one node")
+	}
+	if c.ClockPS < 0 {
+		return fmt.Errorf("ring: negative clock period %v", c.ClockPS)
+	}
+	if c.WidthBits <= 0 || c.WidthBits%8 != 0 {
+		return errors.New("ring: width must be a positive multiple of 8 bits")
+	}
+	if c.ProbePairsPerBlockSlot < 0 {
+		return errors.New("ring: negative probe slot pairs per block slot")
+	}
+	if c.Segments != 0 {
+		if c.Segments < 2 {
+			return errors.New("ring: Segments must be 0 (classic) or at least 2")
+		}
+		if c.Nodes%c.Segments != 0 {
+			return fmt.Errorf("ring: %d nodes not divisible into %d segments", c.Nodes, c.Segments)
+		}
+	}
+	if c.BlockBytes*8%c.WidthBits != 0 {
+		return errors.New("ring: block size must be a whole number of ring words")
+	}
+	return nil
+}
+
 // Geometry holds the derived slot layout of a ring.
 type Geometry struct {
 	Config
@@ -129,24 +160,10 @@ type Geometry struct {
 // NewGeometry computes the slot layout for a configuration, applying
 // the paper's defaults to zero fields.
 func NewGeometry(cfg Config) Geometry {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg.fill()
-	if cfg.Nodes <= 0 {
-		panic("ring: need at least one node")
-	}
-	if cfg.WidthBits <= 0 || cfg.WidthBits%8 != 0 {
-		panic("ring: width must be a positive multiple of 8 bits")
-	}
-	if cfg.Segments != 0 {
-		if cfg.Segments < 2 {
-			panic("ring: Segments must be 0 (classic) or at least 2")
-		}
-		if cfg.Nodes%cfg.Segments != 0 {
-			panic(fmt.Sprintf("ring: %d nodes not divisible into %d segments", cfg.Nodes, cfg.Segments))
-		}
-	}
-	if cfg.BlockBytes*8%cfg.WidthBits != 0 {
-		panic("ring: block size must be a whole number of ring words")
-	}
 	g := Geometry{Config: cfg}
 	g.ProbeStages = (64 + cfg.WidthBits - 1) / cfg.WidthBits
 	g.BlockStages = g.ProbeStages + cfg.BlockBytes*8/cfg.WidthBits

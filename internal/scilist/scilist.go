@@ -17,122 +17,52 @@
 package scilist
 
 import (
-	"repro/internal/cache"
+	// The engine reaches the caches only through its node set; importing
+	// the package lets the compiler inline their state transitions.
+	_ "repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
-// CacheSupplyTime is the head node's cache fetch time (see snoop).
-const CacheSupplyTime = memory.BankTime
-
-// Options configures an Engine.
-type Options struct {
-	// Cache is the per-node cache geometry (zero: paper defaults).
-	Cache cache.Config
-	// PageBytes is the home-placement granularity; default 4096.
-	PageBytes int
-	// Seed drives the random page-to-home placement.
-	Seed uint64
-	// Home, when non-nil, supplies a pre-built page-to-home placement
-	// (e.g. one with private-data hints); PageBytes and Seed are then
-	// ignored.
-	Home *memory.HomeMap
-}
-
-func (o *Options) fill() {
-	if o.PageBytes == 0 {
-		o.PageBytes = 4096
-	}
-}
-
 // Engine is a linked-list directory engine over a slotted ring.
 type Engine struct {
-	k      *sim.Kernel
-	ring   *ring.Ring
-	caches []*cache.Cache
-	banks  []*memory.Bank
-	home   *memory.HomeMap
-	dir    *memory.Directory
-
-	// WriteBacks counts dirty-eviction block messages.
-	WriteBacks uint64
-	wbByNode   []uint64
+	*node.Set
+	ring *ring.Ring
+	dir  *memory.Directory
 }
 
-// WriteBacksOf returns the write-backs caused by node's own evictions;
-// the core's per-processor warmup gating reads it.
-func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
-
-// New returns a linked-list engine over r.
-func New(r *ring.Ring, opts Options) *Engine {
-	opts.fill()
-	k := r.Kernel()
-	n := r.Geo.Nodes
-	e := &Engine{
-		k:      k,
-		ring:   r,
-		caches: make([]*cache.Cache, n),
-		banks:  make([]*memory.Bank, n),
-		home:   homeMapFor(n, opts),
-		dir:    memory.NewDirectory(),
-	}
-	e.wbByNode = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		e.caches[i] = cache.New(opts.Cache)
-		e.banks[i] = memory.NewBank(k, "mem")
-	}
+// New returns a linked-list engine over r serving the nodes n.
+func New(r *ring.Ring, n *node.Set) *Engine {
+	e := &Engine{Set: n, ring: r, dir: memory.NewDirectory()}
+	n.Bind(e)
 	return e
 }
 
 // Ring returns the underlying slotted ring.
 func (e *Engine) Ring() *ring.Ring { return e.ring }
 
-// Cache returns node's cache.
-func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
-
-// HomeMap returns the page-to-home placement.
-func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
-
 // Directory exposes the shared directory store (tests only).
 func (e *Engine) Directory() *memory.Directory { return e.dir }
-
-// Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
-	c := e.caches[node]
-	block := c.BlockAddr(addr)
-	switch c.Lookup(addr, write) {
-	case cache.Hit:
-		done(e.k.Now(), coherence.Result{Hit: true})
-	case cache.MissRead:
-		e.miss(node, block, false, done)
-	case cache.MissWrite:
-		e.miss(node, block, true, done)
-	case cache.Upgrade:
-		e.upgrade(node, block, done)
-	}
-}
 
 // fill installs a block; dirty victims write back, clean shared victims
 // silently unlink from their sharing list.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
-	v := e.caches[node].Fill(block, st)
+	v := e.Fill(node, block, st)
 	if !v.Valid {
 		return
 	}
 	if v.Dirty {
-		e.WriteBacks++
-		e.wbByNode[node]++
-		h := e.home.Home(v.Block)
+		h := e.Home.Home(v.Block)
 		land := func() {
-			e.banks[h].Access(func() { e.dir.Line(v.Block).RemoveSharer(node) })
+			e.Banks[h].Access(func() { e.dir.Line(v.Block).RemoveSharer(node) })
 		}
 		if h == node {
 			land()
 		} else {
-			vb := v.Block
-			e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) { _ = vb; land() })
+			e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) { land() })
 		}
 	} else {
 		e.dir.Line(v.Block).RemoveSharer(node)
@@ -144,7 +74,7 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 // list members coincide) completes immediately without ring traffic.
 func (e *Engine) probe(src, dst int, block uint64, arrived func(at sim.Time)) {
 	if src == dst {
-		arrived(e.k.Now())
+		arrived(e.K.Now())
 		return
 	}
 	e.ring.Send(src, dst, e.ring.Geo.ProbeClassFor(block), nil, func(at sim.Time) { arrived(at) })
@@ -169,12 +99,12 @@ func (e *Engine) traversals(stages int) int {
 	return t
 }
 
-// miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
+// Miss services a read or write miss.
+func (e *Engine) Miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+	h := e.Home.Home(block)
 	g := &e.ring.Geo
 	afterHome := func(pathToHome int) {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			ln := e.dir.Line(block)
 			head := ln.Head
 			wasDirty := ln.Dirty
@@ -192,7 +122,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 				}
 				if h == node {
 					e.fill(node, block, fillState(write))
-					done(e.k.Now(), coherence.Result{Txn: txn, Local: true})
+					done(e.K.Now(), coherence.Result{Txn: txn, Local: true})
 					return
 				}
 				e.sendBlock(h, node, func(at sim.Time) {
@@ -220,8 +150,8 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 				ln.Dirty = false
 				ln.AddSharer(node)
 				e.probe(h, head, block, func(sim.Time) {
-					e.caches[head].Downgrade(block)
-					e.k.After(CacheSupplyTime, func() {
+					e.Caches[head].Downgrade(block)
+					e.Fetch(head, true, func() {
 						e.sendBlock(head, node, func(at sim.Time) {
 							e.fill(node, block, coherence.ReadShared)
 							total := pathToHome + g.DistStages(h, head) + g.DistStages(head, node)
@@ -250,8 +180,8 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 				done(at, coherence.Result{Txn: txn, Traversals: trav, Class: missClass(wasDirty, trav)})
 			}
 			e.probe(h, head, block, func(sim.Time) {
-				e.caches[head].Invalidate(block)
-				e.k.After(CacheSupplyTime, func() {
+				e.Caches[head].Invalidate(block)
+				e.Fetch(head, true, func() {
 					e.sendBlock(head, node, func(at sim.Time) {
 						dataAt = at
 						finish(at)
@@ -277,12 +207,12 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 // from members[i]; done fires when the tail's work is complete.
 func (e *Engine) walkList(block uint64, members []int, i int, doneAt func(at sim.Time)) {
 	if i+1 >= len(members) {
-		doneAt(e.k.Now())
+		doneAt(e.K.Now())
 		return
 	}
 	from, to := members[i], members[i+1]
 	e.probe(from, to, block, func(sim.Time) {
-		e.caches[to].Invalidate(block)
+		e.Caches[to].Invalidate(block)
 		e.walkList(block, members, i+1, doneAt)
 	})
 }
@@ -317,13 +247,13 @@ func missClass(wasDirty bool, trav int) coherence.MissClass {
 	}
 }
 
-// upgrade services an invalidation: the requester holds RS and must
+// Upgrade services an invalidation: the requester holds RS and must
 // purge every other list member.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
+func (e *Engine) Upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+	h := e.Home.Home(block)
 	g := &e.ring.Geo
 	afterHome := func(pathToHome int) {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			ln := e.dir.Line(block)
 			// Other members, in list order.
 			var others []int
@@ -335,14 +265,14 @@ func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.R
 			ln.ClearSharers()
 			ln.SetDirty(node)
 			finish := func(at sim.Time, trav int) {
-				if !e.caches[node].Upgrade(block) {
+				if !e.Caches[node].Upgrade(block) {
 					e.fill(node, block, coherence.WriteExclusive)
 				}
 				done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav, Local: trav == 0})
 			}
 			if len(others) == 0 {
 				if h == node {
-					finish(e.k.Now(), 0)
+					finish(e.K.Now(), 0)
 					return
 				}
 				e.probe(h, node, block, func(at sim.Time) {
@@ -357,7 +287,7 @@ func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.R
 			tail := others[len(others)-1]
 			e.walkChainFromHome(block, chain, func(sim.Time) {
 				if tail == node {
-					finish(e.k.Now(), e.traversals(dist))
+					finish(e.K.Now(), e.traversals(dist))
 					return
 				}
 				e.probe(tail, node, block, func(at sim.Time) {
@@ -377,21 +307,4 @@ func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.R
 // home, which needs no invalidation).
 func (e *Engine) walkChainFromHome(block uint64, chain []int, doneAt func(at sim.Time)) {
 	e.walkList(block, chain, 0, doneAt)
-}
-
-// homeMapFor returns the configured home map, or builds the default
-// seeded-random page placement.
-func homeMapFor(n int, opts Options) *memory.HomeMap {
-	if opts.Home != nil {
-		return opts.Home
-	}
-	return memory.NewHomeMap(n, opts.PageBytes, sim.NewRand(opts.Seed))
-}
-
-// HasBlock reports whether node currently caches the block containing
-// addr in a readable state (RS or WE). The core's write-buffer model
-// uses it to decide whether a load can bypass an outstanding store.
-func (e *Engine) HasBlock(node int, addr uint64) bool {
-	c := e.caches[node]
-	return c.State(c.BlockAddr(addr)) != coherence.Invalid
 }

@@ -3,16 +3,25 @@ package scilist
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
+
+// machine returns the n nodes of a whole machine with the paper's
+// caches and a seeded random page placement.
+func machine(k *sim.Kernel, n int, seed uint64) *node.Set {
+	return node.New(k, memory.NewHomeMap(n, 4096, sim.NewRand(seed)), cache.Config{}, 0, n)
+}
 
 func testEngine(t *testing.T, nodes int) (*sim.Kernel, *Engine) {
 	t.Helper()
 	k := sim.NewKernel()
 	r := ring.New(k, ring.Config{Nodes: nodes})
-	return k, New(r, Options{Seed: 1})
+	return k, New(r, machine(k, nodes, 1))
 }
 
 func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (coherence.Result, sim.Time) {
@@ -32,7 +41,7 @@ func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (cohere
 
 func TestUncachedMissServedByHome(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x1000, 3)
+	e.Home.Place(0x1000, 3)
 	res, _ := access(k, e, 0, 0x1000, false)
 	if res.Txn != coherence.ReadMissClean || res.Traversals != 1 {
 		t.Fatalf("res = %+v, want 1-traversal clean miss from home", res)
@@ -47,7 +56,7 @@ func TestCachedCleanMissForwardedToHead(t *testing.T) {
 	// linked list forwards to the head, whose position can force a
 	// second traversal — the Table 1 difference.
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x2000, 2)
+	e.Home.Place(0x2000, 2)
 	access(k, e, 4, 0x2000, false) // head = 4 (on 2→0 arc? 4 is after 2)
 	res, _ := access(k, e, 0, 0x2000, false)
 	// Path 0→2→4→0 closes in exactly one loop (4 lies on the 2→0 arc).
@@ -57,7 +66,7 @@ func TestCachedCleanMissForwardedToHead(t *testing.T) {
 	// Now a head that conflicts with the ring direction: requester 6,
 	// home 2, head 0 is not on the 2→6 arc → two traversals.
 	k2, e2 := testEngine(t, 8)
-	e2.HomeMap().Place(0x2000, 2)
+	e2.Home.Place(0x2000, 2)
 	access(k2, e2, 0, 0x2000, false)
 	res2, _ := access(k2, e2, 6, 0x2000, false)
 	if res2.Traversals != 2 {
@@ -70,7 +79,7 @@ func TestCachedCleanMissForwardedToHead(t *testing.T) {
 
 func TestNewReaderBecomesHead(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x3000, 1)
+	e.Home.Place(0x3000, 1)
 	access(k, e, 3, 0x3000, false)
 	access(k, e, 5, 0x3000, false)
 	ln := e.Directory().Line(0x3000)
@@ -85,13 +94,13 @@ func TestNewReaderBecomesHead(t *testing.T) {
 
 func TestDirtyMissSuppliedByHeadAndDowngraded(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x4000, 1)
+	e.Home.Place(0x4000, 1)
 	access(k, e, 5, 0x4000, true) // node 5 dirty owner (head)
 	res, _ := access(k, e, 0, 0x4000, false)
 	if res.Txn != coherence.ReadMissDirty {
 		t.Fatalf("txn = %v, want read-miss-dirty", res.Txn)
 	}
-	if e.Cache(5).State(0x4000) != coherence.ReadShared {
+	if e.Caches[5].State(0x4000) != coherence.ReadShared {
 		t.Fatal("dirty head did not downgrade")
 	}
 	if e.Directory().Line(0x4000).Dirty {
@@ -101,7 +110,7 @@ func TestDirtyMissSuppliedByHeadAndDowngraded(t *testing.T) {
 
 func TestWriteMissPurgesWholeList(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x5000, 1)
+	e.Home.Place(0x5000, 1)
 	for _, n := range []int{2, 4, 6} {
 		access(k, e, n, 0x5000, false)
 	}
@@ -110,7 +119,7 @@ func TestWriteMissPurgesWholeList(t *testing.T) {
 		t.Fatalf("txn = %v, want write-miss-clean", res.Txn)
 	}
 	for _, n := range []int{2, 4, 6} {
-		if e.Cache(n).State(0x5000) != coherence.Invalid {
+		if e.Caches[n].State(0x5000) != coherence.Invalid {
 			t.Fatalf("sharer %d survived purge", n)
 		}
 	}
@@ -129,7 +138,7 @@ func TestInvalidationTraversalsGrowWithAdverseListOrder(t *testing.T) {
 	// the ring direction: each hop is nearly a full loop. This is the
 	// paper's worst case: ~n traversals for n sharers.
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x6000, 0)
+	e.Home.Place(0x6000, 0)
 	readers := []int{1, 2, 3, 4, 5}
 	for _, n := range readers {
 		access(k, e, n, 0x6000, false)
@@ -144,20 +153,20 @@ func TestInvalidationTraversalsGrowWithAdverseListOrder(t *testing.T) {
 
 func TestUpgradeSoleMember(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x7000, 2)
+	e.Home.Place(0x7000, 2)
 	access(k, e, 0, 0x7000, false)
 	res, _ := access(k, e, 0, 0x7000, true)
 	if res.Txn != coherence.Invalidation || res.Traversals != 1 {
 		t.Fatalf("res = %+v, want 1-traversal invalidation", res)
 	}
-	if e.Cache(0).State(0x7000) != coherence.WriteExclusive {
+	if e.Caches[0].State(0x7000) != coherence.WriteExclusive {
 		t.Fatal("upgrader not WE")
 	}
 }
 
 func TestUpgradeWithOtherMembersPurges(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x8000, 1)
+	e.Home.Place(0x8000, 1)
 	access(k, e, 0, 0x8000, false)
 	access(k, e, 3, 0x8000, false)
 	access(k, e, 6, 0x8000, false)
@@ -166,11 +175,11 @@ func TestUpgradeWithOtherMembersPurges(t *testing.T) {
 		t.Fatalf("txn = %v, want invalidation", res.Txn)
 	}
 	for _, n := range []int{3, 6} {
-		if e.Cache(n).State(0x8000) != coherence.Invalid {
+		if e.Caches[n].State(0x8000) != coherence.Invalid {
 			t.Fatalf("member %d survived upgrade purge", n)
 		}
 	}
-	if e.Cache(0).State(0x8000) != coherence.WriteExclusive {
+	if e.Caches[0].State(0x8000) != coherence.WriteExclusive {
 		t.Fatal("upgrader not WE")
 	}
 	if res.Traversals < 2 {
@@ -180,7 +189,7 @@ func TestUpgradeWithOtherMembersPurges(t *testing.T) {
 
 func TestLocalUncachedMissIsFree(t *testing.T) {
 	k, e := testEngine(t, 8)
-	e.HomeMap().Place(0x9000, 4)
+	e.Home.Place(0x9000, 4)
 	res, lat := access(k, e, 4, 0x9000, false)
 	if !res.Local || res.Traversals != 0 {
 		t.Fatalf("res = %+v, want local miss", res)
@@ -193,10 +202,10 @@ func TestLocalUncachedMissIsFree(t *testing.T) {
 func TestCleanEvictionUnlinksSilently(t *testing.T) {
 	k, e := testEngine(t, 4)
 	const a, b = 0x1_0000_0000, 0x1_0002_0000 // conflicting set
-	e.HomeMap().Place(a, 1)
-	e.HomeMap().Place(b, 1)
+	e.Home.Place(a, 1)
+	e.Home.Place(b, 1)
 	access(k, e, 0, a, false)
-	blockA := e.Cache(0).BlockAddr(a)
+	blockA := e.Caches[0].BlockAddr(a)
 	if e.Directory().Line(blockA).Head != 0 {
 		t.Fatal("reader not on list")
 	}
@@ -204,7 +213,7 @@ func TestCleanEvictionUnlinksSilently(t *testing.T) {
 	if e.Directory().Line(blockA).HasSharer(0) {
 		t.Fatal("evicted clean copy still on sharing list")
 	}
-	if e.WriteBacks != 0 {
+	if e.WriteBacksOf(0) != 0 {
 		t.Fatal("clean eviction generated a write-back")
 	}
 }
@@ -212,15 +221,15 @@ func TestCleanEvictionUnlinksSilently(t *testing.T) {
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	k, e := testEngine(t, 4)
 	const a, b = 0x1_0000_0000, 0x1_0002_0000
-	e.HomeMap().Place(a, 1)
-	e.HomeMap().Place(b, 1)
+	e.Home.Place(a, 1)
+	e.Home.Place(b, 1)
 	access(k, e, 0, a, true)
 	access(k, e, 0, b, false)
 	k.Run()
-	if e.WriteBacks != 1 {
-		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacks)
+	if e.WriteBacksOf(0) != 1 {
+		t.Fatalf("WriteBacks = %d, want 1", e.WriteBacksOf(0))
 	}
-	ln := e.Directory().Line(e.Cache(0).BlockAddr(a))
+	ln := e.Directory().Line(e.Caches[0].BlockAddr(a))
 	if ln.Dirty || ln.HasSharer(0) {
 		t.Fatalf("write-back did not clean directory: %+v", ln)
 	}
@@ -229,7 +238,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 func TestConsistencyUnderRandomTraffic(t *testing.T) {
 	k := sim.NewKernel()
 	r := ring.New(k, ring.Config{Nodes: 8})
-	e := New(r, Options{Seed: 9})
+	e := New(r, machine(k, 8, 9))
 	rng := sim.NewRand(321)
 	blocks := []uint64{0x1000, 0x2000, 0x3000}
 	for i := 0; i < 250; i++ {
@@ -242,7 +251,7 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 			ln := e.Directory().Line(b)
 			writers := 0
 			for n := 0; n < 8; n++ {
-				st := e.Cache(n).State(b)
+				st := e.Caches[n].State(b)
 				if st == coherence.WriteExclusive {
 					writers++
 				}

@@ -576,6 +576,34 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedJobIs400AndServerSurvives posts a job shape the
+// simulator cannot build. It used to panic inside a sweep worker and
+// kill the daemon; it must come back as a 400 job error, with the
+// server still answering.
+func TestMalformedJobIs400AndServerSurvives(t *testing.T) {
+	eng := sweep.New(sweep.Options{Workers: 1})
+	_, ts := newTestServer(t, nil, Options{Engine: eng})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"protocol":"hier-ring","cpus":8,"clusters":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "sweep: job") {
+		t.Fatalf("status %d: %s, want 400 with a sweep: job error", resp.StatusCode, buf.String())
+	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a malformed job: %d", hresp.StatusCode)
+	}
+}
+
 // TestDefaultExecutorIntegration runs one real simulation through the
 // HTTP layer — no fakes — and sanity-checks the physics in the
 // summary.

@@ -16,130 +16,40 @@
 package snoop
 
 import (
-	"repro/internal/cache"
+	// The engine reaches the caches only through its node set; importing
+	// the package lets the compiler inline their state transitions.
+	_ "repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
-// CacheSupplyTime is the time for a dirty owner to fetch a block from
-// its cache for a cache-to-cache transfer. The paper lumps "the time to
-// fetch the block in the remote memory or cache" together, so this
-// matches the 140 ns memory bank time.
-const CacheSupplyTime = memory.BankTime
-
-// Options configures an Engine.
-type Options struct {
-	// Cache is the per-node cache geometry (zero: paper defaults).
-	Cache cache.Config
-	// PageBytes is the home-placement granularity; default 4096.
-	PageBytes int
-	// Seed drives the random page-to-home placement.
-	Seed uint64
-	// Home, when non-nil, supplies a pre-built page-to-home placement
-	// (e.g. one with private-data hints); PageBytes and Seed are then
-	// ignored.
-	Home *memory.HomeMap
-	// Tracer, when non-nil, records coherence transactions as obs
-	// spans with phase annotations.
-	Tracer *obs.Tracer
-}
-
-func (o *Options) fill() {
-	if o.PageBytes == 0 {
-		o.PageBytes = 4096
-	}
-}
-
-// blockMeta is the home-side state of one block: the dirty bit (and
-// owner) kept in main memory by the snooping protocol.
-type blockMeta struct {
-	dirty bool
-	owner int
-}
-
 // Engine is a snooping-protocol coherence engine over a slotted ring.
 type Engine struct {
-	k      *sim.Kernel
-	ring   *ring.Ring
-	caches []*cache.Cache
-	banks  []*memory.Bank
-	home   *memory.HomeMap
-	meta   map[uint64]*blockMeta
-	tr     *obs.Tracer
-
-	// WriteBacks counts the block messages sent home on dirty
-	// evictions (off the critical path).
-	WriteBacks uint64
-	wbByNode   []uint64
+	*node.Set
+	ring *ring.Ring
+	meta memory.DirtyBits
+	tr   *obs.Tracer
 }
 
-// WriteBacksOf returns the write-backs caused by node's own evictions;
-// the core's per-processor warmup gating reads it.
-func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
-
-// New returns a snooping engine over r.
-func New(r *ring.Ring, opts Options) *Engine {
-	opts.fill()
-	k := r.Kernel()
-	n := r.Geo.Nodes
-	e := &Engine{
-		k:      k,
-		ring:   r,
-		caches: make([]*cache.Cache, n),
-		banks:  make([]*memory.Bank, n),
-		home:   homeMapFor(n, opts),
-		meta:   make(map[uint64]*blockMeta),
-		tr:     opts.Tracer,
-	}
-	e.wbByNode = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		e.caches[i] = cache.New(opts.Cache)
-		e.banks[i] = memory.NewBank(k, "mem")
-	}
+// New returns a snooping engine over r serving the nodes n. tr, when
+// non-nil, records coherence transactions as obs spans with phase
+// annotations.
+func New(r *ring.Ring, n *node.Set, tr *obs.Tracer) *Engine {
+	e := &Engine{Set: n, ring: r, meta: make(memory.DirtyBits), tr: tr}
+	n.Bind(e)
 	return e
 }
 
 // Ring returns the underlying slotted ring (for utilization stats).
 func (e *Engine) Ring() *ring.Ring { return e.ring }
 
-// Cache returns node's cache.
-func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
-
-// HomeMap returns the page-to-home placement.
-func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
-
-func (e *Engine) metaFor(block uint64) *blockMeta {
-	m := e.meta[block]
-	if m == nil {
-		m = &blockMeta{owner: -1}
-		e.meta[block] = m
-	}
-	return m
-}
-
-// Access performs one data reference for node. done fires at completion
-// time with the classification; hits complete synchronously.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
-	c := e.caches[node]
-	block := c.BlockAddr(addr)
-	switch c.Lookup(addr, write) {
-	case cache.Hit:
-		done(e.k.Now(), coherence.Result{Hit: true})
-	case cache.MissRead:
-		e.miss(node, block, false, done)
-	case cache.MissWrite:
-		e.miss(node, block, true, done)
-	case cache.Upgrade:
-		e.upgrade(node, block, done)
-	}
-}
-
 // fill installs a block, sending a write-back for any dirty victim.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
-	if v := e.caches[node].Fill(block, st); v.Valid && v.Dirty {
+	if v := e.Fill(node, block, st); v.Valid && v.Dirty {
 		e.writeBack(node, v.Block)
 	}
 }
@@ -147,47 +57,45 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 // writeBack returns a dirty block to its home memory, off the critical
 // path. The home clears the dirty bit when the block message arrives.
 func (e *Engine) writeBack(node int, block uint64) {
-	e.WriteBacks++
-	e.wbByNode[node]++
-	sp := e.tr.Begin(node, e.k.Now())
-	m := e.metaFor(block)
-	h := e.home.Home(block)
+	sp := e.tr.Begin(node, e.K.Now())
+	m := e.meta.Of(block)
+	h := e.Home.Home(block)
 	if h == node {
 		// Local write-back: just the bank write.
-		m.dirty = false
-		e.banks[h].Access(nil)
-		sp.End(e.k.Now(), coherence.WriteBack)
+		m.Dirty = false
+		e.Banks[h].Access(nil)
+		sp.End(e.K.Now(), coherence.WriteBack)
 		return
 	}
 	grab, removal := e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) {
-		mm := e.metaFor(block)
-		if mm.dirty && mm.owner == node {
-			mm.dirty = false
+		mm := e.meta.Of(block)
+		if mm.Dirty && mm.Owner == node {
+			mm.Dirty = false
 		}
-		e.banks[h].Access(nil)
+		e.Banks[h].Access(nil)
 	})
 	sp.Mark(obs.PhaseData, grab)
 	sp.End(removal, coherence.WriteBack)
 }
 
-// miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
-	h := e.home.Home(block)
-	start := e.k.Now()
+// Miss services a read or write miss.
+func (e *Engine) Miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+	m := e.meta.Of(block)
+	h := e.Home.Home(block)
+	start := e.K.Now()
 	sp := e.tr.Begin(node, start)
 
 	// Clean block homed here (or our own stale ownership racing with a
 	// write-back): served from the local bank. A write to a block that
 	// other caches may share still needs the invalidating probe, so
 	// only reads take the pure-local path.
-	dirtyRemote := m.dirty && m.owner != node
+	dirtyRemote := m.Dirty && m.Owner != node
 	if h == node && !dirtyRemote && !write {
-		e.banks[h].Access(func() {
+		e.Banks[h].Access(func() {
 			e.fill(node, block, coherence.ReadShared)
-			sp.Mark(obs.PhaseData, e.k.Now())
-			sp.End(e.k.Now(), coherence.ReadMissClean)
-			done(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
+			sp.Mark(obs.PhaseData, e.K.Now())
+			sp.End(e.K.Now(), coherence.ReadMissClean)
+			done(e.K.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
 		})
 		return
 	}
@@ -205,7 +113,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	// Responder chosen at insertion: the dirty owner, else the home.
 	responder := h
 	if dirtyRemote {
-		responder = m.owner
+		responder = m.Owner
 	}
 
 	// Broadcast the probe. Every interface snoops it as it passes:
@@ -223,7 +131,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 		if blockArrived < 0 {
 			return
 		}
-		if write && e.k.Now() < probeReturn {
+		if write && e.K.Now() < probeReturn {
 			return
 		}
 		finished = true
@@ -232,16 +140,16 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 			st = coherence.WriteExclusive
 		}
 		e.fill(node, block, st)
-		mm := e.metaFor(block)
+		mm := e.meta.Of(block)
 		if write {
-			mm.dirty = true
-			mm.owner = node
+			mm.Dirty = true
+			mm.Owner = node
 		} else if dirtyRemote {
 			// The owner downgraded and the home copy is refreshed.
-			mm.dirty = false
+			mm.Dirty = false
 		}
-		sp.End(e.k.Now(), txn)
-		done(e.k.Now(), coherence.Result{Txn: txn, Traversals: 1})
+		sp.End(e.K.Now(), txn)
+		done(e.K.Now(), coherence.Result{Txn: txn, Traversals: 1})
 	}
 
 	class := e.ring.Geo.ProbeClassFor(block)
@@ -250,14 +158,14 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 		func(visited int, at sim.Time) {
 			// Snooper actions at probe pass time.
 			if write {
-				e.caches[visited].Invalidate(block)
+				e.Caches[visited].Invalidate(block)
 			} else if visited == responder && dirtyRemote {
-				e.caches[visited].Downgrade(block)
+				e.Caches[visited].Downgrade(block)
 			}
 			if visited == responder && !supplied {
 				supplied = true
 				e.respond(responder, node, dirtyRemote, func() {
-					blockArrived = e.k.Now()
+					blockArrived = e.K.Now()
 					sp.Mark(obs.PhaseData, blockArrived)
 					finish()
 				})
@@ -276,8 +184,8 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	// from the local bank, in parallel.
 	if responder == node {
 		supplied = true
-		e.banks[node].Access(func() {
-			blockArrived = e.k.Now()
+		e.Banks[node].Access(func() {
+			blockArrived = e.K.Now()
 			sp.Mark(obs.PhaseData, blockArrived)
 			finish()
 		})
@@ -293,53 +201,32 @@ func (e *Engine) respond(responder, requester int, fromCache bool, delivered fun
 			delivered()
 		})
 	}
-	if fromCache {
-		e.k.After(CacheSupplyTime, send)
-	} else {
-		e.banks[responder].Access(send)
-	}
+	e.Fetch(responder, fromCache, send)
 }
 
-// upgrade services an invalidation request: the requester holds an RS
+// Upgrade services an invalidation request: the requester holds an RS
 // copy and broadcasts a probe; every other copy is invalidated as the
 // probe sweeps, and the write permission is granted when the probe
 // returns — exactly one traversal.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+func (e *Engine) Upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
 	class := e.ring.Geo.ProbeClassFor(block)
-	sp := e.tr.Begin(node, e.k.Now())
+	sp := e.tr.Begin(node, e.K.Now())
 	grab, _ := e.ring.Send(node, ring.Broadcast, class,
 		func(visited int, at sim.Time) {
-			e.caches[visited].Invalidate(block)
+			e.Caches[visited].Invalidate(block)
 		},
 		func(at sim.Time) {
 			// Our copy may have been invalidated by a racing write; the
 			// transaction then degenerates into a write miss fill.
-			if !e.caches[node].Upgrade(block) {
+			if !e.Caches[node].Upgrade(block) {
 				e.fill(node, block, coherence.WriteExclusive)
 			}
-			m := e.metaFor(block)
-			m.dirty = true
-			m.owner = node
+			m := e.meta.Of(block)
+			m.Dirty = true
+			m.Owner = node
 			sp.Mark(obs.PhaseAck, at)
 			sp.End(at, coherence.Invalidation)
 			done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: 1})
 		})
 	sp.Mark(obs.PhaseProbeGrab, grab)
-}
-
-// homeMapFor returns the configured home map, or builds the default
-// seeded-random page placement.
-func homeMapFor(n int, opts Options) *memory.HomeMap {
-	if opts.Home != nil {
-		return opts.Home
-	}
-	return memory.NewHomeMap(n, opts.PageBytes, sim.NewRand(opts.Seed))
-}
-
-// HasBlock reports whether node currently caches the block containing
-// addr in a readable state (RS or WE). The core's write-buffer model
-// uses it to decide whether a load can bypass an outstanding store.
-func (e *Engine) HasBlock(node int, addr uint64) bool {
-	c := e.caches[node]
-	return c.State(c.BlockAddr(addr)) != coherence.Invalid
 }

@@ -3,11 +3,19 @@ package snoop
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/memory"
+	"repro/internal/node"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
+
+// machine returns the n nodes of a whole machine with the paper's
+// caches and a seeded random page placement.
+func machine(k *sim.Kernel, n int, seed uint64) *node.Set {
+	return node.New(k, memory.NewHomeMap(n, 4096, sim.NewRand(seed)), cache.Config{}, 0, n)
+}
 
 // testEngine builds a 4-node engine with a fixed home for the probed
 // addresses.
@@ -15,7 +23,7 @@ func testEngine(t *testing.T) (*sim.Kernel, *Engine) {
 	t.Helper()
 	k := sim.NewKernel()
 	r := ring.New(k, ring.Config{Nodes: 4})
-	e := New(r, Options{Seed: 1})
+	e := New(r, machine(k, 4, 1), nil)
 	return k, e
 }
 
@@ -38,7 +46,7 @@ func access(k *sim.Kernel, e *Engine, node int, addr uint64, write bool) (cohere
 
 func TestHitCompletesImmediately(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 1)
+	e.Home.Place(0x1000, 1)
 	access(k, e, 0, 0x1000, false) // fill
 	res, lat := access(k, e, 0, 0x1000, false)
 	if !res.Hit {
@@ -51,7 +59,7 @@ func TestHitCompletesImmediately(t *testing.T) {
 
 func TestLocalCleanReadMiss(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 2)
+	e.Home.Place(0x1000, 2)
 	res, lat := access(k, e, 2, 0x1000, false)
 	if res.Hit || !res.Local || res.Txn != coherence.ReadMissClean {
 		t.Fatalf("result = %+v, want local clean read miss", res)
@@ -69,7 +77,7 @@ func TestRemoteCleanReadMissLatencyIsUMA(t *testing.T) {
 	// full circumference for every requester — the paper's UMA claim.
 	for _, requester := range []int{0, 1, 3} {
 		k, e := testEngine(t)
-		e.HomeMap().Place(0x1000, 2)
+		e.Home.Place(0x1000, 2)
 		res, lat := access(k, e, requester, 0x1000, false)
 		if res.Txn != coherence.ReadMissClean || res.Local {
 			t.Fatalf("node %d: result = %+v, want remote clean read miss", requester, res)
@@ -90,13 +98,13 @@ func TestRemoteCleanReadMissLatencyIsUMA(t *testing.T) {
 
 func TestReadMissOnDirtyBlock(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 1)
+	e.Home.Place(0x1000, 1)
 	// Node 3 takes the block write-exclusive.
 	res, _ := access(k, e, 3, 0x1000, true)
 	if res.Txn != coherence.WriteMissClean {
 		t.Fatalf("first write = %+v, want write-miss-clean", res)
 	}
-	if e.Cache(3).State(0x1000) != coherence.WriteExclusive {
+	if e.Caches[3].State(0x1000) != coherence.WriteExclusive {
 		t.Fatal("writer does not hold WE")
 	}
 	// Node 0 reads: the dirty owner must supply and downgrade.
@@ -104,10 +112,10 @@ func TestReadMissOnDirtyBlock(t *testing.T) {
 	if res.Txn != coherence.ReadMissDirty {
 		t.Fatalf("read after remote write = %+v, want read-miss-dirty", res)
 	}
-	if e.Cache(0).State(0x1000) != coherence.ReadShared {
+	if e.Caches[0].State(0x1000) != coherence.ReadShared {
 		t.Fatal("reader did not get RS")
 	}
-	if e.Cache(3).State(0x1000) != coherence.ReadShared {
+	if e.Caches[3].State(0x1000) != coherence.ReadShared {
 		t.Fatal("owner did not downgrade to RS")
 	}
 	// Dirty bit cleared: a third read is a clean miss.
@@ -119,7 +127,7 @@ func TestReadMissOnDirtyBlock(t *testing.T) {
 
 func TestWriteMissInvalidatesAllSharers(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x2000, 1)
+	e.Home.Place(0x2000, 1)
 	access(k, e, 0, 0x2000, false)
 	access(k, e, 2, 0x2000, false)
 	access(k, e, 3, 0x2000, false)
@@ -128,34 +136,34 @@ func TestWriteMissInvalidatesAllSharers(t *testing.T) {
 		t.Fatalf("write = %+v, want write-miss-clean", res)
 	}
 	for _, n := range []int{0, 2, 3} {
-		if e.Cache(n).State(0x2000) != coherence.Invalid {
+		if e.Caches[n].State(0x2000) != coherence.Invalid {
 			t.Fatalf("node %d still holds a copy after write miss", n)
 		}
 	}
-	if e.Cache(1).State(0x2000) != coherence.WriteExclusive {
+	if e.Caches[1].State(0x2000) != coherence.WriteExclusive {
 		t.Fatal("writer does not hold WE")
 	}
 }
 
 func TestWriteMissOnDirtyBlock(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x3000, 0)
+	e.Home.Place(0x3000, 0)
 	access(k, e, 2, 0x3000, true)
 	res, _ := access(k, e, 3, 0x3000, true)
 	if res.Txn != coherence.WriteMissDirty {
 		t.Fatalf("second write = %+v, want write-miss-dirty", res)
 	}
-	if e.Cache(2).State(0x3000) != coherence.Invalid {
+	if e.Caches[2].State(0x3000) != coherence.Invalid {
 		t.Fatal("previous owner not invalidated")
 	}
-	if e.Cache(3).State(0x3000) != coherence.WriteExclusive {
+	if e.Caches[3].State(0x3000) != coherence.WriteExclusive {
 		t.Fatal("new owner not WE")
 	}
 }
 
 func TestUpgradeTakesOneTraversal(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x4000, 1)
+	e.Home.Place(0x4000, 1)
 	access(k, e, 0, 0x4000, false)
 	access(k, e, 2, 0x4000, false)
 	start := k.Now()
@@ -172,10 +180,10 @@ func TestUpgradeTakesOneTraversal(t *testing.T) {
 	if lat < rtt || lat > 2*rtt {
 		t.Fatalf("upgrade latency = %v, want RTT + slot wait (≤ %v)", lat, 2*rtt)
 	}
-	if e.Cache(0).State(0x4000) != coherence.WriteExclusive {
+	if e.Caches[0].State(0x4000) != coherence.WriteExclusive {
 		t.Fatal("upgrader not WE")
 	}
-	if e.Cache(2).State(0x4000) != coherence.Invalid {
+	if e.Caches[2].State(0x4000) != coherence.Invalid {
 		t.Fatal("sharer not invalidated by upgrade")
 	}
 }
@@ -184,12 +192,12 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	k, e := testEngine(t)
 	// Two blocks that conflict in the 128 KB direct-mapped cache.
 	const a, b = 0x1_0000_0000, 0x1_0002_0000
-	e.HomeMap().Place(a, 1)
-	e.HomeMap().Place(b, 1)
+	e.Home.Place(a, 1)
+	e.Home.Place(b, 1)
 	access(k, e, 0, a, true) // dirty
 	access(k, e, 0, b, false)
-	if e.WriteBacks != 1 {
-		t.Fatalf("WriteBacks = %d, want 1 after dirty eviction", e.WriteBacks)
+	if e.WriteBacksOf(0) != 1 {
+		t.Fatalf("WriteBacks = %d, want 1 after dirty eviction", e.WriteBacksOf(0))
 	}
 	// After the write-back lands, the block is clean at home again.
 	res, _ := access(k, e, 2, a, false)
@@ -202,21 +210,21 @@ func TestLocalWriteMissStillProbes(t *testing.T) {
 	// A write miss homed at the requester must still broadcast to
 	// invalidate remote RS copies.
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x5000, 2)
+	e.Home.Place(0x5000, 2)
 	access(k, e, 0, 0x5000, false) // remote sharer
 	res, _ := access(k, e, 2, 0x5000, true)
 	if res.Txn != coherence.WriteMissClean || res.Local {
 		t.Fatalf("home write = %+v, want non-local write-miss-clean", res)
 	}
-	if e.Cache(0).State(0x5000) != coherence.Invalid {
+	if e.Caches[0].State(0x5000) != coherence.Invalid {
 		t.Fatal("remote sharer survived home-node write miss")
 	}
 }
 
 func TestProbesUseAddressParitySlots(t *testing.T) {
 	k, e := testEngine(t)
-	e.HomeMap().Place(0x1000, 1) // block 0x1000/16 = even
-	e.HomeMap().Place(0x1010, 1) // odd
+	e.Home.Place(0x1000, 1) // block 0x1000/16 = even
+	e.Home.Place(0x1010, 1) // odd
 	access(k, e, 0, 0x1000, false)
 	if e.Ring().Messages(ring.ProbeEven) != 1 || e.Ring().Messages(ring.ProbeOdd) != 0 {
 		t.Fatal("even block did not use the even probe slot")
@@ -232,7 +240,7 @@ func TestManyNodesManyBlocksConsistency(t *testing.T) {
 	// invariant after every completed transaction set.
 	k := sim.NewKernel()
 	r := ring.New(k, ring.Config{Nodes: 8})
-	e := New(r, Options{Seed: 3})
+	e := New(r, machine(k, 8, 3), nil)
 	rng := sim.NewRand(99)
 	blocks := []uint64{0x1000, 0x2000, 0x3000, 0x4000}
 	outstanding := 0
@@ -251,7 +259,7 @@ func TestManyNodesManyBlocksConsistency(t *testing.T) {
 			writers := 0
 			holders := 0
 			for n := 0; n < 8; n++ {
-				switch e.Cache(n).State(b) {
+				switch e.Caches[n].State(b) {
 				case coherence.WriteExclusive:
 					writers++
 					holders++

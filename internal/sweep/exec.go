@@ -39,21 +39,7 @@ func (j Job) SystemConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	// Reject invalid segmented-ring shapes here, politely: core treats
-	// them as programmer error and panics, but a Job arrives over the
-	// wire and must come back as a job error instead.
-	if j.RingSegments != 0 {
-		if j.RingSegments < 2 {
-			return core.Config{}, fmt.Errorf("ring_segments must be 0 (classic ring) or >= 2, not %d", j.RingSegments)
-		}
-		if proto != core.DirectoryRing {
-			return core.Config{}, fmt.Errorf("ring_segments requires the directory-ring protocol, not %s", j.Protocol)
-		}
-		if j.CPUs%j.RingSegments != 0 {
-			return core.Config{}, fmt.Errorf("%d cpus not divisible into %d ring segments", j.CPUs, j.RingSegments)
-		}
-	}
-	return core.Config{
+	cfg := core.Config{
 		Protocol:  proto,
 		ProcCycle: sim.Time(j.ProcCyclePS),
 		Ring: ring.Config{
@@ -72,7 +58,14 @@ func (j Job) SystemConfig() (core.Config, error) {
 		Clusters:          j.Clusters,
 		NonBlockingStores: j.NonBlockingStores,
 		WriteBufferDepth:  j.WriteBufferDepth,
-	}, nil
+	}
+	// Reject the shapes core panics on here, politely: a Job arrives
+	// over the wire and must come back as a job error instead of taking
+	// the serving process down.
+	if err := cfg.Validate(j.CPUs); err != nil {
+		return core.Config{}, err
+	}
+	return cfg, nil
 }
 
 // standaloneWarmup is the cold-start window the default executor

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -60,6 +61,51 @@ func TestJobHashCanonical(t *testing.T) {
 			t.Errorf("job %+v collides with a previous hash", m)
 		}
 		seen[h] = true
+	}
+}
+
+// TestJobRejectsMalformedShapes: every field value below used to reach
+// a simulator panic inside a worker goroutine, which took the whole
+// serving process down. Each must come back as a job error.
+func TestJobRejectsMalformedShapes(t *testing.T) {
+	hier := func(clusters int) Job { return Job{Protocol: "hier-ring", CPUs: 8, Clusters: clusters} }
+	for name, j := range map[string]Job{
+		"clusters 3 of 8 cpus":  hier(3),
+		"clusters 1":            hier(1),
+		"clusters -2":           hier(-2),
+		"clusters 16 of 8 cpus": hier(16),
+		"cache_bytes 1000":      {CacheBytes: 1000},
+		"cache_bytes -16":       {CacheBytes: -16},
+		"cache_block_bytes 24":  {CacheBlockBytes: 24},
+		"page_bytes -1":         {PageBytes: -1},
+		"page_bytes 3":          {PageBytes: 3},
+		"ring_width_bits 7":     {RingWidthBits: 7},
+		"ring_width_bits -32":   {RingWidthBits: -32},
+		"ring_block_bytes 3":    {RingBlockBytes: 3},
+		"ring_probe_pairs -1":   {RingProbePairs: -1},
+		"ring_clock_ps -1":      {RingClockPS: -1},
+		"proc_cycle_ps -1":      {ProcCyclePS: -1},
+		"bus_clock_ps -1":       {Protocol: "snoop-bus", BusClockPS: -1},
+	} {
+		j.DataRefsPerCPU = 50
+		if _, err := j.SystemConfig(); err == nil {
+			t.Errorf("%s: SystemConfig accepted", name)
+		}
+		eng := New(Options{Workers: 1})
+		if _, err := eng.RunOne(j); err == nil || !strings.HasPrefix(err.Error(), "sweep: job ") {
+			t.Errorf("%s: RunOne error %v, want a sweep: job error", name, err)
+		}
+	}
+	// Shapes that run today stay accepted: a bus clock the ring never
+	// reads, a ring width the bus never reads.
+	for name, j := range map[string]Job{
+		"bus_clock_ps -1 on the ring":  {BusClockPS: -1},
+		"ring_width_bits 7 on the bus": {Protocol: "snoop-bus", RingWidthBits: 7},
+		"clusters 3 off the hier ring": {Clusters: 3},
+	} {
+		if _, err := j.SystemConfig(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 }
 

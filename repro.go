@@ -36,7 +36,8 @@ import (
 // Protocol selects a coherence protocol + interconnect pair.
 type Protocol string
 
-// The four machines the paper evaluates.
+// The four machines the paper evaluates, plus the hierarchical ring of
+// its related work.
 const (
 	// SnoopRing is the paper's contribution: write-invalidate snooping
 	// over the slotted ring (Section 3.1).
@@ -139,7 +140,9 @@ type Config struct {
 	RingSegments int
 }
 
-func (c *Config) fill() error {
+// fill applies the defaults and returns the core configuration of c's
+// machine, rejecting the shapes it cannot simulate.
+func (c *Config) fill() (core.Config, error) {
 	if c.Protocol == "" {
 		c.Protocol = SnoopRing
 	}
@@ -168,26 +171,25 @@ func (c *Config) fill() error {
 		c.Seed = 1
 	}
 	if c.ProcCycleNS < 0.1 || c.ProcCycleNS > 1000 {
-		return fmt.Errorf("repro: processor cycle %.2f ns out of range", c.ProcCycleNS)
+		return core.Config{}, fmt.Errorf("repro: processor cycle %.2f ns out of range", c.ProcCycleNS)
 	}
-	if _, ok := workload.ProfileFor(c.Benchmark, c.CPUs); !ok {
-		return fmt.Errorf("repro: no workload profile %s/%d (see repro.Benchmarks)", c.Benchmark, c.CPUs)
+	proto, err := c.Protocol.internal()
+	if err != nil {
+		return core.Config{}, err
 	}
-	if c.RingSegments != 0 {
-		if c.RingSegments < 2 {
-			return fmt.Errorf("repro: RingSegments must be 0 (classic ring) or >= 2, not %d", c.RingSegments)
-		}
-		if c.Protocol != DirectoryRing {
-			return fmt.Errorf("repro: RingSegments requires the directory-ring protocol, not %s", c.Protocol)
-		}
-		if c.CPUs%c.RingSegments != 0 {
-			return fmt.Errorf("repro: %d CPUs not divisible into %d ring segments", c.CPUs, c.RingSegments)
-		}
-		if c.TraceSample > 0 {
-			return fmt.Errorf("repro: tracing is unsupported with the segmented ring (RingSegments >= 2)")
-		}
+	sc := core.Config{
+		Protocol:  proto,
+		ProcCycle: sim.Time(c.ProcCycleNS * float64(sim.Nanosecond)),
+		Ring:      ring.Config{ClockPS: sim.Time(1e6 / float64(c.RingMHz)), WidthBits: c.RingWidthBits, Segments: c.RingSegments},
+		Bus:       bus.Config{ClockPS: sim.Time(1e6 / float64(c.BusMHz))},
+		Clusters:  c.Clusters,
+		Seed:      c.Seed,
+		Trace:     obs.Config{SampleEvery: c.TraceSample},
 	}
-	return nil
+	if err := sc.Validate(c.CPUs); err != nil {
+		return core.Config{}, fmt.Errorf("repro: %w", err)
+	}
+	return sc, nil
 }
 
 // Benchmark identifies one workload profile.
@@ -311,31 +313,23 @@ func (r *Result) String() string {
 
 // Run simulates one machine to completion.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	proto, err := cfg.Protocol.internal()
+	sc, err := cfg.fill()
 	if err != nil {
 		return nil, err
 	}
-	prof := workload.MustProfile(cfg.Benchmark, cfg.CPUs)
+	prof, ok := workload.ProfileFor(cfg.Benchmark, cfg.CPUs)
+	if !ok {
+		return nil, fmt.Errorf("repro: no workload profile %s/%d (see repro.Benchmarks)", cfg.Benchmark, cfg.CPUs)
+	}
 	const warmup = 600
 	gen := workload.NewGenerator(workload.Config{
 		Profile:        prof,
 		DataRefsPerCPU: cfg.DataRefsPerCPU + warmup,
 		Seed:           cfg.Seed,
 	})
-	m := core.Run(core.Config{
-		Protocol:       proto,
-		ProcCycle:      sim.Time(cfg.ProcCycleNS * float64(sim.Nanosecond)),
-		Ring:           ring.Config{ClockPS: sim.Time(1e6 / float64(cfg.RingMHz)), WidthBits: cfg.RingWidthBits, Segments: cfg.RingSegments},
-		Bus:            bus.Config{ClockPS: sim.Time(1e6 / float64(cfg.BusMHz))},
-		Clusters:       cfg.Clusters,
-		Seed:           cfg.Seed,
-		WarmupDataRefs: warmup,
-		Trace:          obs.Config{SampleEvery: cfg.TraceSample},
-		Parallel:       cfg.Parallel,
-	}, gen)
+	sc.WarmupDataRefs = warmup
+	sc.Parallel = cfg.Parallel
+	m := core.Run(sc, gen)
 	return &Result{
 		tr:                   m.Trace,
 		ProcUtil:             m.ProcUtil(),
@@ -362,15 +356,6 @@ func Run(cfg Config) (*Result, error) {
 // instead of a synthetic workload. The trace's CPU count overrides
 // cfg.CPUs; cfg.Benchmark is ignored.
 func RunTrace(cfg Config, path string) (*Result, error) {
-	cfg.Benchmark = "MP3D" // placeholder so validation passes; unused
-	cfg.CPUs = 16
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	proto, err := cfg.Protocol.internal()
-	if err != nil {
-		return nil, err
-	}
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("repro: reading trace: %w", err)
@@ -378,15 +363,12 @@ func RunTrace(cfg Config, path string) (*Result, error) {
 	if tr.NumCPUs() == 0 {
 		return nil, fmt.Errorf("repro: trace %s has no processors", path)
 	}
-	sys := core.NewSystem(core.Config{
-		Clusters:  cfg.Clusters,
-		Protocol:  proto,
-		ProcCycle: sim.Time(cfg.ProcCycleNS * float64(sim.Nanosecond)),
-		Ring:      ring.Config{ClockPS: sim.Time(1e6 / float64(cfg.RingMHz)), WidthBits: cfg.RingWidthBits},
-		Bus:       bus.Config{ClockPS: sim.Time(1e6 / float64(cfg.BusMHz))},
-		Seed:      cfg.Seed,
-		Trace:     obs.Config{SampleEvery: cfg.TraceSample},
-	}, workload.NewTraceSource(tr))
+	cfg.CPUs = tr.NumCPUs()
+	sc, err := cfg.fill()
+	if err != nil {
+		return nil, err
+	}
+	sys := core.NewSystem(sc, workload.NewTraceSource(tr))
 	m := sys.Run()
 	return &Result{
 		tr:             m.Trace,
